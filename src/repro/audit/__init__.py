@@ -2,8 +2,7 @@
 auditor.
 
 :mod:`repro.audit.log` is the append-only control-plane record (grants,
-denials, revocations) the cookie server writes — promoted here from
-``repro.core.audit``, which remains as a compat re-export.
+denials, revocations) the cookie server writes.
 
 :mod:`repro.audit.auditor` is the record/replay differential harness
 that verifies the data plane enforces exactly the advertised policy, and
@@ -11,8 +10,8 @@ that verifies the data plane enforces exactly the advertised policy, and
 :mod:`repro.audit.stats` holds the paired statistical tests.
 
 Only the log is imported eagerly: the auditor pulls in the whole service
-stack, and ``repro.core`` imports this package for the compat shim, so
-the heavyweight modules load lazily via module ``__getattr__``.
+stack, and ``repro.core`` imports this package for the log, so the
+heavyweight modules load lazily via module ``__getattr__``.
 """
 
 from .log import AuditEvent, AuditLog, AuditRecord

@@ -24,14 +24,14 @@ themselves stay ignorant of:
   a pipe (§14.4).  The parent retains an authoritative delta log +
   descriptor mirror per worker shard, so replica sync never blocks on a
   worker round-trip and a crashed worker is respawned and re-seeded
-  from the mirror.  ``mode="auto"`` picks process workers only when the
-  host has cores to back them, mirroring the PR-6 degrade ladder.
+  from the mirror.  ``mode="auto"`` picks process workers for more than
+  one shard under the shared supervisor's degrade rule
+  (:mod:`repro.core.workers`).
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import pickle
 import secrets
 import time
 from dataclasses import dataclass
@@ -43,6 +43,7 @@ from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
 from ..resilience import CircuitBreaker
 from ..server import ServiceOffering
+from ..workers import Supervisor, pooled_or_in_process
 from ...telemetry.metrics import Histogram, TelemetrySnapshot
 from .deltalog import DeltaLog, LogTruncated, StoreSnapshot
 from .replica import ReplicaUnreachable, VerifierReplica
@@ -56,6 +57,10 @@ __all__ = ["ControlPlaneStats", "ShardedControlPlane", "BROADCAST_LAG_BUCKETS"]
 BROADCAST_LAG_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
 )
+
+
+#: ``{"op": "quit"}`` as the bytes ``Connection.send`` would write.
+_QUIT_FRAME = pickle.dumps({"op": "quit"})
 
 
 class _ShardFailure(Exception):
@@ -88,7 +93,6 @@ class _LocalShard:
 
     def __init__(self, shard: ControlPlaneShard) -> None:
         self.shard = shard
-        self.degraded = False
 
     @property
     def log(self) -> DeltaLog:
@@ -142,9 +146,6 @@ class _LocalShard:
     def stats(self) -> dict[str, int]:
         return self.shard.stats()
 
-    def close(self) -> None:
-        pass
-
 
 class _WorkerShard:
     """Process-mode shard handle: §14.4 frames over a pipe.
@@ -154,87 +155,58 @@ class _WorkerShard:
     (policy checks, key minting, its own store), the parent owns
     *replication* state.  The mirror is copy-on-write under revocation
     so logged ``add`` records keep their original descriptor payloads.
+    When no worker can be started, the same frames are served by an
+    in-process :class:`ControlPlaneShard` seeded the same way.
     """
 
     mode = "process"
 
     def __init__(
-        self,
-        index: int,
-        policy: AccessPolicy | None,
-        ctx: multiprocessing.context.BaseContext,
+        self, index: int, policy: AccessPolicy | None, pool: Supervisor
     ) -> None:
         self.index = index
         self.policy = policy
-        self.ctx = ctx
+        self._pool = pool
         self.log = DeltaLog()
         self.mirror: dict[int, dict[str, Any]] = {}
         self.offerings: dict[str, dict[str, Any]] = {}
-        self.degraded = False
-        self.restarts = 0
         self._local: ControlPlaneShard | None = None
-        self._conn: Any = None
-        self._process: Any = None
-        self._spawn()
 
-    def _spawn(self) -> None:
-        parent_conn, child_conn = self.ctx.Pipe()
-        process = self.ctx.Process(
-            target=shard_worker_main,
-            args=(child_conn, self.index, self.policy),
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._conn, self._process = parent_conn, process
-        # Re-seed a fresh worker with the authoritative parent state.
-        if self.mirror or self.log.next_offset:
-            self._roundtrip(
-                {
-                    "op": "install",
-                    "snapshot": StoreSnapshot(
-                        offset=self.log.next_offset,
-                        descriptors=list(self.mirror.values()),
-                    ).to_json(),
-                }
-            )
-        for offering in self.offerings.values():
-            self._roundtrip({"op": "offer", "offering": offering})
+    @property
+    def degraded(self) -> bool:
+        return self._local is not None
 
-    def _roundtrip(self, frame: dict[str, Any]) -> dict[str, Any]:
+    @property
+    def restarts(self) -> int:
+        return self._pool.restarts[self.index]
+
+    def _serve(self, frame: dict[str, Any]) -> dict[str, Any]:
+        if self._local is not None:
+            return self._local.handle(frame)
         try:
-            self._conn.send(frame)
-            return self._conn.recv()
+            conn = self._pool.workers[self.index].conn
+            conn.send(frame)
+            return conn.recv()
         except (BrokenPipeError, EOFError, OSError) as exc:
             raise _ShardFailure(str(exc)) from exc
 
     def _request(self, frame: dict[str, Any]) -> dict[str, Any]:
         """One frame with a single restart-and-retry on worker death."""
         try:
-            return self._roundtrip(frame)
+            return self._serve(frame)
         except _ShardFailure:
             self.restart()
-            return self._roundtrip(frame)
+            return self._serve(frame)
 
     def restart(self) -> None:
         """Respawn the worker, re-seeded from the parent mirror; falls
         back to a degraded in-process shard when spawning itself fails."""
-        self.close(graceful=False)
-        self.restarts += 1
-        try:
-            self._spawn()
-        except OSError:
-            self.degraded = True
+        if not self._pool.restart(self.index):
             self._local = ControlPlaneShard(self.index, policy=self.policy)
-            StoreSnapshot(
-                offset=self.log.next_offset,
-                descriptors=list(self.mirror.values()),
-            ).install(self._local.store)
-            self._local.log = DeltaLog(base_offset=self.log.next_offset)
-            from .shard import _offering_from_json
-
-            for offering in self.offerings.values():
-                self._local.offer(_offering_from_json(offering))
+        if self.mirror or self.log.next_offset:
+            self._serve({"op": "install", "snapshot": self.snapshot().to_json()})
+        for offering in self.offerings.values():
+            self._serve({"op": "offer", "offering": offering})
 
     def offer(self, offering: ServiceOffering) -> None:
         if offering.attribute_factory is not None:
@@ -244,50 +216,30 @@ class _WorkerShard:
             )
         data = offering_to_json(offering)
         self.offerings[offering.name] = data
-        if self.degraded:
-            assert self._local is not None
-            self._local.offer(offering)
-        else:
-            self._request({"op": "offer", "offering": data})
+        self._request({"op": "offer", "offering": data})
 
     def withdraw(self, name: str) -> None:
         self.offerings.pop(name, None)
-        if self.degraded:
-            assert self._local is not None
-            self._local.withdraw_offering(name)
-        else:
-            self._request({"op": "withdraw", "name": name})
+        self._request({"op": "withdraw", "name": name})
 
     def acquire_batch(
         self, requests: list[tuple[str, str, int]], now: float
     ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
-        if self.degraded:
-            assert self._local is not None
-            descriptors, errors = _LocalShard(self._local).acquire_batch(
-                requests, now
-            )
-        else:
-            response = self._request(
-                {"op": "acquire_batch", "now": now, "requests": requests}
-            )
-            descriptors = response["descriptors"]
-            errors = response["errors"]
+        response = self._request(
+            {"op": "acquire_batch", "now": now, "requests": requests}
+        )
+        descriptors = response["descriptors"]
         for data in descriptors:
             if data is not None:
                 cookie_id = int(data["cookie_id"])
                 self.mirror[cookie_id] = data
                 self.log.append("add", cookie_id, now, data)
-        return descriptors, errors
+        return descriptors, response["errors"]
 
     def revoke_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        if self.degraded:
-            assert self._local is not None
-            revoked = [self._local.revoke(cid, now) for cid in cookie_ids]
-        else:
-            response = self._request(
-                {"op": "revoke_batch", "now": now, "cookie_ids": cookie_ids}
-            )
-            revoked = response["revoked"]
+        revoked = self._request(
+            {"op": "revoke_batch", "now": now, "cookie_ids": cookie_ids}
+        )["revoked"]
         for cookie_id, ok in zip(cookie_ids, revoked):
             if ok:
                 # Copy-on-write: the "add" record in the log still
@@ -297,14 +249,9 @@ class _WorkerShard:
         return revoked
 
     def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        if self.degraded:
-            assert self._local is not None
-            removed = [self._local.remove(cid, now) for cid in cookie_ids]
-        else:
-            response = self._request(
-                {"op": "remove_batch", "now": now, "cookie_ids": cookie_ids}
-            )
-            removed = response["removed"]
+        removed = self._request(
+            {"op": "remove_batch", "now": now, "cookie_ids": cookie_ids}
+        )["removed"]
         for cookie_id, ok in zip(cookie_ids, removed):
             if ok:
                 self.mirror.pop(cookie_id, None)
@@ -312,12 +259,8 @@ class _WorkerShard:
         return removed
 
     def purge_expired(self, now: float) -> int:
-        if self.degraded:
-            assert self._local is not None
-            removed_ids = [r for r in self._local.purge_expired(now)]
-        else:
-            response = self._request({"op": "purge_expired", "now": now})
-            removed_ids = [int(cid) for cid in response["removed_ids"]]
+        response = self._request({"op": "purge_expired", "now": now})
+        removed_ids = [int(cid) for cid in response["removed_ids"]]
         for cookie_id in removed_ids:
             self.mirror.pop(cookie_id, None)
             self.log.append("remove", cookie_id, now)
@@ -334,14 +277,10 @@ class _WorkerShard:
         )
 
     def stats(self) -> dict[str, int]:
-        if self.degraded:
-            assert self._local is not None
-            stats = self._local.stats()
-        else:
-            try:
-                stats = self._request({"op": "stats"})["stats"]
-            except _ShardFailure:
-                stats = {"shard": self.index}
+        try:
+            stats = self._request({"op": "stats"})["stats"]
+        except _ShardFailure:
+            stats = {"shard": self.index}
         stats["log_len"] = len(self.log)
         stats["log_base"] = self.log.base_offset
         stats["log_next"] = self.log.next_offset
@@ -352,29 +291,7 @@ class _WorkerShard:
 
     def kill(self) -> None:
         """Hard-kill the worker (drill hook for crash-recovery tests)."""
-        if self._process is not None and self._process.is_alive():
-            self._process.kill()
-            self._process.join(timeout=5.0)
-
-    def close(self, graceful: bool = True) -> None:
-        if self._conn is not None:
-            if graceful:
-                try:
-                    self._conn.send({"op": "quit"})
-                    self._conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-            try:
-                self._conn.close()
-            except OSError:
-                pass
-            self._conn = None
-        if self._process is not None:
-            self._process.join(timeout=5.0)
-            if self._process.is_alive():
-                self._process.kill()
-                self._process.join(timeout=5.0)
-            self._process = None
+        self._pool.kill(self.index)
 
 
 class ShardedControlPlane:
@@ -408,10 +325,6 @@ class ShardedControlPlane:
             if breaker is not None
             else CircuitBreaker(failure_threshold=5, reset_timeout=5.0, clock=clock)
         )
-        if mode == "auto":
-            cores = os.cpu_count() or 1
-            mode = "process" if shards > 1 and cores >= 2 else "in-process"
-        self.mode = mode
         self.offerings: dict[str, ServiceOffering] = {}
         self.stats = ControlPlaneStats()
         self.inflight = 0
@@ -421,20 +334,37 @@ class ShardedControlPlane:
         self._replicas: dict[str, VerifierReplica] = {}
         #: unconfirmed revocations: [shard, offset, revoke_time, {replica}]
         self._pending_revocations: list[list[Any]] = []
+        self._pool: Supervisor | None = None
         self._shards: list[Any]
         if mode == "process":
-            ctx = multiprocessing.get_context(
-                "fork" if "fork" in multiprocessing.get_all_start_methods()
-                else "spawn"
+            self._shards = self._worker_shards()
+        elif mode == "auto" and shards > 1:
+            self._shards = pooled_or_in_process(
+                self._worker_shards, self._local_shards
             )
-            self._shards = [
-                _WorkerShard(i, self.policy, ctx) for i in range(shards)
-            ]
         else:
-            self._shards = [
-                _LocalShard(ControlPlaneShard(i, policy=self.policy))
-                for i in range(shards)
-            ]
+            self._shards = self._local_shards()
+        self.mode = self._shards[0].mode
+
+    def _local_shards(self) -> list[_LocalShard]:
+        return [
+            _LocalShard(ControlPlaneShard(i, policy=self.policy))
+            for i in range(self.shard_count)
+        ]
+
+    def _worker_shards(self) -> list[_WorkerShard]:
+        pool = Supervisor(
+            shard_worker_main,
+            self.shard_count,
+            name="cp-shard",
+            quit_frame=_QUIT_FRAME,
+            launch=lambda index: ((index, self.policy), ()),
+        )
+        pool.start()
+        self._pool = pool
+        return [
+            _WorkerShard(i, self.policy, pool) for i in range(self.shard_count)
+        ]
 
     # ------------------------------------------------------------------
     # Configuration
@@ -806,7 +736,7 @@ class ShardedControlPlane:
 
     @property
     def worker_restarts(self) -> int:
-        return sum(getattr(handle, "restarts", 0) for handle in self._shards)
+        return sum(self._pool.restarts) if self._pool is not None else 0
 
     def max_broadcast_lag(self) -> float:
         """Largest settled revocation-to-enforcement lag seen so far."""
@@ -884,8 +814,8 @@ class ShardedControlPlane:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        for handle in self._shards:
-            handle.close()
+        if self._pool is not None:
+            self._pool.close()
 
     def __enter__(self) -> "ShardedControlPlane":
         return self

@@ -259,6 +259,12 @@ class ControlPlaneShard:
                 return {"ok": True}
             if op == "stats":
                 return {"ok": True, "stats": self.stats()}
+            if op == "install":
+                # Parent-only re-seed after a respawn (§14.4).
+                snapshot = StoreSnapshot.from_json(request["snapshot"])
+                snapshot.install(self.store)
+                self.log = DeltaLog(base_offset=snapshot.offset)
+                return {"ok": True, "installed": len(snapshot.descriptors)}
             return {"ok": False, "error": f"unknown op {op!r}"}
         except (KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
@@ -309,13 +315,7 @@ def shard_worker_main(conn: Any, index: int, policy: AccessPolicy | None) -> Non
             except (BrokenPipeError, OSError):
                 pass
             break
-        if op == "install":
-            snapshot = StoreSnapshot.from_json(request["snapshot"])
-            snapshot.install(shard.store)
-            shard.log = DeltaLog(base_offset=snapshot.offset)
-            response: dict[str, Any] = {"ok": True, "installed": len(snapshot.descriptors)}
-        else:
-            response = shard.handle(request)
+        response = shard.handle(request)
         try:
             conn.send(response)
         except (BrokenPipeError, OSError):

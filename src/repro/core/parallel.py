@@ -24,10 +24,10 @@ Three layers:
   control channel (descriptor deltas, stats, probes, shutdown) and the
   fallback transport (ring setup failure, frames too large for a
   slot, post-restart re-dispatch).  Below both sits the **in-process
-  degrade mode**: on boxes where worker processes cannot win
-  (``os.cpu_count() < 2``), :meth:`ProcessShardExecutor.auto` serves
-  every shard from in-process matchers so the abstraction never costs
-  2x on a CI box.
+  degrade mode**: where worker processes cannot win or cannot start
+  (the :mod:`~repro.core.workers` degrade rule),
+  :meth:`ProcessShardExecutor.auto` serves every shard from in-process
+  matchers so the abstraction never costs 2x on a CI box.
 - a :class:`ProcessShardExecutor` — the multi-process drop-in for
   :class:`~repro.core.distributed.ShardedVerifierPool`: same
   ``match`` / ``match_batch`` / ``shard_for`` / telemetry surface, same
@@ -47,12 +47,13 @@ window starting empty.
 
 from __future__ import annotations
 
+import contextlib
 import json
-import multiprocessing
-import os
+import os  # noqa: F401 - degrade tests patch the CPU count via parallel.os
 import struct
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import TYPE_CHECKING, Callable, Sequence
 
 from .cookie import COOKIE_WIRE_BYTES, Cookie
@@ -69,6 +70,7 @@ from .shm_ring import (
     ShmRing,
 )
 from .store import DescriptorStore
+from .workers import Supervisor, pooled_or_in_process
 
 if TYPE_CHECKING:  # pragma: no cover - hints only
     from ..telemetry import MetricsRegistry
@@ -330,18 +332,8 @@ def _worker_main(
                         raise MalformedCookie(f"unknown delta op {action!r}")
                 conn.send_bytes(b"\x01")
             elif op == _OP_STATS:
-                cache = matcher.replay_cache
                 conn.send_bytes(
-                    json.dumps(
-                        {
-                            "match": matcher.stats.as_dict(),
-                            "replay_cache": {
-                                "rotations": cache.rotations,
-                                "idle_resets": cache.idle_resets,
-                                "size": cache.size,
-                            },
-                        }
-                    ).encode("utf-8")
+                    json.dumps(_matcher_stats(matcher)).encode("utf-8")
                 )
             elif op == _OP_QUIT:
                 conn.send_bytes(b"\x01")
@@ -355,6 +347,20 @@ def _worker_main(
         for ring in (req_ring, resp_ring):
             if ring is not None:
                 ring.close()
+
+
+def _matcher_stats(matcher: CookieMatcher) -> dict:
+    """One shard's stats snapshot: the worker's stats reply, and the
+    live view of an in-process fallback shard."""
+    cache = matcher.replay_cache
+    return {
+        "match": matcher.stats.as_dict(),
+        "replay_cache": {
+            "rotations": cache.rotations,
+            "idle_resets": cache.idle_resets,
+            "size": cache.size,
+        },
+    }
 
 
 def _zero_worker_stats() -> dict:
@@ -404,7 +410,7 @@ class ShmTransportStats:
         return dict(vars(self))
 
 
-_TRANSPORTS = ("auto", "shm", "pipe", "in-process")
+_TRANSPORTS = ("auto", "pipe", "in-process")
 
 
 # ----------------------------------------------------------------------
@@ -428,13 +434,12 @@ class ProcessShardExecutor:
     replies are collected in publish order.
 
     ``transport`` selects the hot path: ``"auto"`` (rings, falling back
-    to pipes per shard if shared memory is unavailable), ``"shm"``
-    (same; the name documents intent), ``"pipe"`` (PR-3 behaviour), or
-    ``"in-process"`` (degrade mode: no worker processes at all — every
-    shard is served by an in-process matcher over the dispatcher's
-    store, for single-core boxes where process IPC can only lose; use
-    :meth:`auto` to pick this automatically).  Pipes always remain the
-    control channel and the re-dispatch path.
+    to pipes per shard if shared memory is unavailable), ``"pipe"``
+    (pipes only), or ``"in-process"`` (degrade mode: no worker
+    processes at all — every shard is served by an in-process matcher
+    over the dispatcher's store, for single-core boxes where process
+    IPC can only lose; use :meth:`auto` to pick this automatically).
+    Pipes always remain the control channel and the re-dispatch path.
 
     Descriptors: the executor snapshots ``store`` into each worker at
     spawn and replays control-plane changes via :meth:`add_descriptor` /
@@ -451,18 +456,21 @@ class ProcessShardExecutor:
     re-dispatch fails its sub-batch closed — every cookie answers
     ``None`` with the dispatcher-level reason
     :data:`VERDICT_UNAVAILABLE` — rather than raising.  A shard that
-    burns through ``max_restarts`` is permanently served by an
-    **in-process fallback matcher** over the dispatcher's own store
-    (``stats.fallbacks``): slower, but a dispatch never raises because a
-    worker died.
+    burns through ``max_restarts``, or whose replacement worker cannot
+    start, is permanently served by an **in-process fallback matcher**
+    over the dispatcher's own store (``stats.fallbacks``): slower, but a
+    dispatch never raises because a worker died.  Process mechanics
+    (start, reap, restart backoff) are the shared
+    :class:`~repro.core.workers.Supervisor`'s.
 
     ``stats_interval`` > 0 amortizes worker stats polling: collections
     within the interval are served from the last snapshot (plus live
     in-process matchers) instead of a per-call pipe round-trip per
-    worker.  Per-worker snapshots are epoch-tagged so a worker that is
-    polled, restarted, and merged again inside one interval is never
-    summed twice (its last snapshot moves into the retired totals the
-    moment the old incarnation is reaped).
+    worker.  A cached snapshot belongs to one worker incarnation: the
+    moment that incarnation is reaped, its snapshot moves into the
+    retired totals and leaves the cache, so a worker that is polled,
+    restarted, and merged again inside one interval is never summed
+    twice.
 
     Use as a context manager, or call :meth:`close`.
     """
@@ -499,58 +507,43 @@ class ProcessShardExecutor:
         self.nct = nct
         self.reply_timeout = reply_timeout
         self.max_restarts = max_restarts
-        self.restart_backoff = restart_backoff or RetryPolicy(
-            max_attempts=max_restarts + 1,
-            base_delay=0.05,
-            max_delay=1.0,
-        )
-        self._sleep = sleep
         self.stats = PoolStats()
         self.shm_stats = ShmTransportStats()
-        self._use_rings = transport in ("auto", "shm")
+        self._use_rings = transport == "auto"
         self._degraded = transport == "in-process"
         self._ring_slots = ring_slots
         self._ring_slot_bytes = ring_slot_bytes
         self.stats_interval = stats_interval
-        if start_method is None:
-            # fork is milliseconds; spawn is the portable fallback.
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._start_method = start_method
-        self._ctx = multiprocessing.get_context(start_method)
         self._worker_count = workers
-        self._conns: list = [None] * workers
-        self._procs: list = [None] * workers
-        self._rings: list[tuple[ShmRing, ShmRing] | None] = [None] * workers
-        # Stats carried over from crashed workers (last successful poll)
-        # so merged counters stay monotonic across restarts.  Cached
-        # per-worker snapshots are epoch-tagged: a snapshot only counts
-        # while its worker incarnation is alive — the moment that
-        # incarnation is reaped, the snapshot moves into the retired
-        # totals and its epoch tag goes stale, so retired + cached can
-        # never double-count one worker's history (the satellite bug
-        # class of ISSUE 6).
+        self._pool = Supervisor(
+            _worker_main,
+            workers,
+            name="cookie-shard",
+            quit_frame=_OP_QUIT,
+            launch=self._launch,
+            start_method=start_method,
+            backoff=restart_backoff
+            or RetryPolicy(
+                max_attempts=max_restarts + 1, base_delay=0.05, max_delay=1.0
+            ),
+            sleep=sleep,
+        )
+        # Stats carried over from reaped workers (last successful poll)
+        # so merged counters stay monotonic across restarts, and each
+        # live incarnation's last poll (None until polled, and again
+        # once retired — never counted in both places).
         self._retired_stats = _zero_worker_stats()
-        self._last_polled = [_zero_worker_stats() for _ in range(workers)]
-        self._epoch = [0] * workers
-        self._polled_epoch = [0] * workers
+        self._last_polled: list[dict | None] = [None] * workers
         self._stats_polled_at: float | None = None
-        self._restart_counts = [0] * workers
         self._fallback_matchers: dict[int, CookieMatcher] = {}
         self._shard_memo: dict[int, int] = {}
-        self._closed = False
         if self._degraded:
             for index in range(workers):
                 self._fallback_matchers[index] = CookieMatcher(
                     self.store, nct=self.nct
                 )
         else:
-            try:
-                for index in range(workers):
-                    self._spawn(index)
-            except BaseException:
-                self.close()
-                raise
+            self._pool.start()
 
     @classmethod
     def auto(
@@ -559,170 +552,98 @@ class ProcessShardExecutor:
         workers: int,
         nct: float = NETWORK_COHERENCY_TIME,
         *,
-        min_cores: int = 2,
         stats_interval: float = 0.25,
         **kwargs,
     ) -> "ProcessShardExecutor":
         """Build an executor on the best transport this box supports.
 
-        The degrade ladder's bottom rung (PROTOCOL.md §12): on a box
-        with fewer than ``min_cores`` CPUs a worker process can only
-        time-slice against the dispatcher, so the multi-process
-        abstraction is served **in-process** (no workers, no IPC, ≈1x
-        the in-process pool instead of the 0.45x the pipe transport
-        measured on 1 core).  With enough cores, rings are tried first
-        and pipes remain the per-shard fallback.  Worker-stats polling
-        is interval-cached by default (``stats_interval``); pass ``0``
-        to poll every collection.
+        The degrade ladder's bottom rung (PROTOCOL.md §12) is the
+        supervisor's degrade rule: on a box with too few CPUs, or where
+        worker processes cannot start, the multi-process abstraction is
+        served **in-process** (no workers, no IPC, ≈1x the in-process
+        pool instead of the 0.45x the pipe transport measured on 1
+        core).  Otherwise rings are tried first and pipes remain the
+        per-shard fallback.  Worker-stats polling is interval-cached by
+        default (``stats_interval``); pass ``0`` to poll every
+        collection.
         """
-        if (os.cpu_count() or 1) < min_cores:
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="in-process",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
-        try:
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="auto",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
-        except OSError:
-            # Cannot even start worker processes: serve in-process.
-            return cls(
-                store,
-                workers,
-                nct,
-                transport="in-process",
-                stats_interval=stats_interval,
-                **kwargs,
-            )
+        build = partial(
+            cls, store, workers, nct, stats_interval=stats_interval, **kwargs
+        )
+        return pooled_or_in_process(
+            partial(build, transport="auto"),
+            partial(build, transport="in-process"),
+        )
 
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    def _make_rings(self, index: int) -> tuple[ShmRing, ShmRing] | None:
+    def _make_rings(self) -> tuple[ShmRing, ShmRing] | None:
         """A fresh request/response ring pair, or None (pipe shard)."""
         if not self._use_rings:
             return None
-        try:
-            request = ShmRing.create(
-                slots=self._ring_slots, slot_bytes=self._ring_slot_bytes
-            )
-        except RingUnavailable:
-            self.shm_stats.ring_setup_failures += 1
-            return None
-        try:
-            # Verdict records are 9 B to the request's 48 B per cookie,
-            # so a quarter-size response slot still fits any batch whose
-            # request fit.
-            response = ShmRing.create(
-                slots=self._ring_slots,
-                slot_bytes=max(4096, self._ring_slot_bytes // 4),
-            )
-        except RingUnavailable:
-            request.close()
-            self.shm_stats.ring_setup_failures += 1
-            return None
+        with contextlib.ExitStack() as undo:
+            try:
+                request = ShmRing.create(
+                    slots=self._ring_slots, slot_bytes=self._ring_slot_bytes
+                )
+                undo.callback(request.close)
+                # Verdict records are 9 B to the request's 48 B per
+                # cookie, so a quarter-size response slot still fits any
+                # batch whose request fit.
+                response = ShmRing.create(
+                    slots=self._ring_slots,
+                    slot_bytes=max(4096, self._ring_slot_bytes // 4),
+                )
+            except RingUnavailable:
+                self.shm_stats.ring_setup_failures += 1
+                return None
+            undo.pop_all()
         return request, response
 
-    def _close_rings(self, index: int) -> None:
-        rings = self._rings[index]
-        if rings is not None:
-            self._rings[index] = None
-            for ring in rings:
-                ring.close()
-
-    def _spawn(self, index: int) -> None:
+    def _launch(self, index: int) -> tuple[tuple, tuple]:
+        """Worker arguments and rings for one start of shard ``index``:
+        a seed of the current store, plus the ring pair (inherited under
+        fork, attached by name under spawn)."""
         seed = json.dumps([d.to_json() for d in self.store])
-        parent_conn, child_conn = self._ctx.Pipe()
-        rings = self._make_rings(index)
-        if rings is None or self._start_method == "fork":
-            args = (child_conn, self.nct, seed, rings, None)
-        else:
-            args = (
-                child_conn,
-                self.nct,
-                seed,
-                None,
-                (rings[0].name, rings[1].name),
-            )
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=args,
-            name=f"cookie-shard-{index}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        self._conns[index] = parent_conn
-        self._procs[index] = process
-        self._rings[index] = rings
-        # A fresh incarnation: open a new stats epoch with a clean
-        # snapshot (anything its predecessor reported is in retired).
-        self._epoch[index] += 1
-        self._polled_epoch[index] = self._epoch[index]
-        self._last_polled[index] = _zero_worker_stats()
+        rings = self._make_rings()
+        if rings is None:
+            return (self.nct, seed), ()
+        if self._pool.start_method == "fork":
+            return (self.nct, seed, rings), rings
+        return (self.nct, seed, None, (rings[0].name, rings[1].name)), rings
 
-    def _reap(self, index: int) -> None:
-        """Close and join whatever is left of a shard's worker."""
-        conn, process = self._conns[index], self._procs[index]
-        if conn is not None:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        if process is not None:
-            if process.is_alive():
-                process.terminate()
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - terminate ignored
-                process.kill()
-                process.join(timeout=5.0)
-        self._close_rings(index)
-        # Retire whatever the dead incarnation last reported — exactly
-        # once: the epoch tag goes stale here, so no later merge can add
-        # the same snapshot again.  Everything it counted since that
-        # poll is lost with it (documented in §10).
-        if self._polled_epoch[index] == self._epoch[index]:
+    def _retire_stats(self, index: int) -> None:
+        """Move the reaped incarnation's last poll into the retired
+        totals, exactly once.  Everything it counted since that poll is
+        lost with it (documented in §10)."""
+        snapshot, self._last_polled[index] = self._last_polled[index], None
+        if snapshot is not None:
             self._retired_stats = _sum_worker_stats(
-                [self._retired_stats, self._last_polled[index]]
+                [self._retired_stats, snapshot]
             )
-            self._polled_epoch[index] = -1
-        self._last_polled[index] = _zero_worker_stats()
 
     def _restart(self, index: int) -> None:
         """One rung of the recovery ladder: restart the dead worker with
-        backoff, or — once ``max_restarts`` is spent — retire the shard
-        to an in-process fallback matcher.  Idempotent for fallback
-        shards."""
+        backoff, or — once ``max_restarts`` is spent, or when no worker
+        can start — retire the shard to an in-process fallback matcher.
+        Idempotent for fallback shards."""
         if index in self._fallback_matchers:
             return
-        if self._restart_counts[index] >= self.max_restarts:
+        self._retire_stats(index)
+        if self._pool.restarts[index] < self.max_restarts and (
+            self._pool.restart(index)
+        ):
+            self.stats.shard_restarts += 1
+        else:
             self._enter_fallback(index)
-            return
-        delay = self.restart_backoff.delay_at(self._restart_counts[index])
-        if self._sleep is not None and delay > 0:
-            self._sleep(delay)
-        self._reap(index)
-        self._spawn(index)
-        self._restart_counts[index] += 1
-        self.stats.shard_restarts += 1
 
     def _enter_fallback(self, index: int) -> None:
         """Permanently serve this shard from an in-process matcher over
         the dispatcher's own store.  Verdict semantics are unchanged
         (same store, same NCT; the replay cache starts cold exactly as a
         restarted worker's would); only the parallelism is lost."""
-        self._reap(index)
-        self._conns[index] = None
-        self._procs[index] = None
+        self._pool.reap(index)
         self._fallback_matchers[index] = CookieMatcher(self.store, nct=self.nct)
         self.stats.fallbacks += 1
 
@@ -760,9 +681,9 @@ class ProcessShardExecutor:
         ``"in-process"`` (degrade mode or crash fallback)."""
         return [
             "in-process"
-            if index in self._fallback_matchers
-            else ("shm" if self._rings[index] is not None else "pipe")
-            for index in range(self._worker_count)
+            if worker is None
+            else ("shm" if worker.resources else "pipe")
+            for worker in self._pool.workers
         ]
 
     @property
@@ -780,8 +701,8 @@ class ProcessShardExecutor:
         Exposed for chaos drills and kill tests, which need a real OS
         handle to SIGKILL — not for routine operation."""
         return [
-            process.pid if process is not None else None
-            for process in self._procs
+            worker.process.pid if worker is not None else None
+            for worker in self._pool.workers
         ]
 
     # ------------------------------------------------------------------
@@ -795,16 +716,10 @@ class ProcessShardExecutor:
         act on a failed probe."""
         if index in self._fallback_matchers:
             return True
-        conn = self._conns[index]
         try:
-            conn.send_bytes(_OP_STATS)
-            if not conn.poll(
-                self.reply_timeout if timeout is None else timeout
-            ):
-                return False
-            json.loads(conn.recv_bytes().decode("utf-8"))
+            json.loads(self._roundtrip(index, _OP_STATS, timeout).decode("utf-8"))
             return True
-        except (OSError, EOFError, BrokenPipeError, ValueError):
+        except (OSError, EOFError, TimeoutError, ValueError):
             return False
 
     def health(self) -> list[bool]:
@@ -825,35 +740,12 @@ class ProcessShardExecutor:
 
     def worker_process(self, index: int):
         """The shard's :class:`multiprocessing.Process` (tests, ops)."""
-        return self._procs[index]
+        worker = self._pool.workers[index]
+        return worker.process if worker is not None else None
 
     def close(self) -> None:
         """Shut every worker down; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            if conn is None:  # shard retired to fallback, or never spawned
-                continue
-            try:
-                conn.send_bytes(_OP_QUIT)
-                if conn.poll(1.0):
-                    conn.recv_bytes()
-            except (OSError, EOFError, BrokenPipeError):
-                pass
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover - already gone
-                pass
-        for process in self._procs:
-            if process is None:
-                continue
-            process.join(timeout=5.0)
-            if process.is_alive():  # pragma: no cover - stuck worker
-                process.terminate()
-                process.join(timeout=5.0)
-        for index in range(self._worker_count):
-            self._close_rings(index)
+        self._pool.close()
 
     def __enter__(self) -> "ProcessShardExecutor":
         return self
@@ -883,15 +775,17 @@ class ProcessShardExecutor:
     def shard_for_descriptor(self, descriptor: CookieDescriptor) -> int:
         return self._shard_index(descriptor.cookie_id)
 
-    def _roundtrip(self, index: int, frame: bytes) -> bytes:
+    def _roundtrip(
+        self, index: int, frame: bytes, timeout: float | None = None
+    ) -> bytes:
         """Send one frame over the pipe and wait for the reply, bounded
-        by the timeout; raises on a dead or unresponsive worker."""
-        conn = self._conns[index]
+        by ``timeout`` (default: the reply timeout); raises on a dead or
+        unresponsive worker."""
+        timeout = self.reply_timeout if timeout is None else timeout
+        conn = self._pool.workers[index].conn
         conn.send_bytes(frame)
-        if not conn.poll(self.reply_timeout):
-            raise TimeoutError(
-                f"shard {index} gave no reply within {self.reply_timeout}s"
-            )
+        if not conn.poll(timeout):
+            raise TimeoutError(f"shard {index} gave no reply within {timeout}s")
         return conn.recv_bytes()
 
     def _send_sub_batch(self, shard: int, frame: bytes) -> str | None:
@@ -902,11 +796,11 @@ class ProcessShardExecutor:
         full ring past the timeout) — the caller walks the recovery
         ladder.
         """
-        rings = self._rings[shard]
-        if rings is not None:
-            request, _response = rings
+        worker = self._pool.workers[shard]
+        if worker.resources:
+            request, _response = worker.resources
+            process = worker.process
             try:
-                process = self._procs[shard]
                 if not request.try_push(frame):
                     self.shm_stats.backpressure_waits += 1
                     if not request.push(
@@ -922,7 +816,7 @@ class ProcessShardExecutor:
                 self.shm_stats.oversize_pipe_fallbacks += 1
                 # fall through to the pipe for this dispatch
         try:
-            self._conns[shard].send_bytes(frame)
+            worker.conn.send_bytes(frame)
         except (OSError, BrokenPipeError, ValueError):
             return None
         self.shm_stats.pipe_dispatches += 1
@@ -931,9 +825,10 @@ class ProcessShardExecutor:
     def _collect_sub_batch(self, shard: int, channel: str) -> bytes | None:
         """The reply matching :meth:`_send_sub_batch`, or None on a
         dead/unresponsive worker."""
+        worker = self._pool.workers[shard]
         if channel == "ring":
-            _request, response = self._rings[shard]
-            process = self._procs[shard]
+            _request, response = worker.resources
+            process = worker.process
             reply = response.pop(
                 self.reply_timeout,
                 should_abort=lambda: not process.is_alive(),
@@ -946,10 +841,9 @@ class ProcessShardExecutor:
                 self.shm_stats.bytes_in += len(reply)
             return reply
         try:
-            conn = self._conns[shard]
-            if not conn.poll(self.reply_timeout):
+            if not worker.conn.poll(self.reply_timeout):
                 return None
-            return conn.recv_bytes()
+            return worker.conn.recv_bytes()
         except (OSError, EOFError):
             return None
 
@@ -1154,18 +1048,6 @@ class ProcessShardExecutor:
     # ------------------------------------------------------------------
     # Stats and telemetry
     # ------------------------------------------------------------------
-    def _live_fallback_stats(self, index: int) -> dict:
-        matcher = self._fallback_matchers[index]
-        cache = matcher.replay_cache
-        return {
-            "match": matcher.stats.as_dict(),
-            "replay_cache": {
-                "rotations": cache.rotations,
-                "idle_resets": cache.idle_resets,
-                "size": cache.size,
-            },
-        }
-
     def collect_worker_stats(self, force: bool = False) -> list[dict]:
         """Every worker's stats snapshot, one dict per shard.
 
@@ -1174,7 +1056,7 @@ class ProcessShardExecutor:
         read live — they cost nothing) instead of one pipe round-trip
         per worker per call; pass ``force=True`` to poll regardless.
 
-        Polls are epoch-consistent: a worker that fails to answer is
+        Polls are incarnation-consistent: a worker that fails to answer is
         restarted (counted in ``shard_restarts``) and reports **zeros**
         for the new incarnation — its last snapshot has just moved into
         the retired totals, so merged views count it exactly once.  The
@@ -1189,19 +1071,15 @@ class ProcessShardExecutor:
         ):
             self.shm_stats.stats_cache_hits += 1
             return [
-                self._live_fallback_stats(index)
+                _matcher_stats(self._fallback_matchers[index])
                 if index in self._fallback_matchers
-                else (
-                    self._last_polled[index]
-                    if self._polled_epoch[index] == self._epoch[index]
-                    else _zero_worker_stats()
-                )
+                else self._last_polled[index] or _zero_worker_stats()
                 for index in range(self._worker_count)
             ]
         snapshots: list[dict] = []
         for index in range(self._worker_count):
             if index in self._fallback_matchers:
-                snapshots.append(self._live_fallback_stats(index))
+                snapshots.append(_matcher_stats(self._fallback_matchers[index]))
                 continue
             try:
                 self.shm_stats.stats_polls += 1
@@ -1215,12 +1093,11 @@ class ProcessShardExecutor:
                 # snapshot here as well would count it twice.
                 self._restart(index)
                 if index in self._fallback_matchers:
-                    snapshots.append(self._live_fallback_stats(index))
+                    snapshots.append(_matcher_stats(self._fallback_matchers[index]))
                 else:
                     snapshots.append(_zero_worker_stats())
                 continue
             self._last_polled[index] = snapshot
-            self._polled_epoch[index] = self._epoch[index]
             snapshots.append(snapshot)
         self._stats_polled_at = now
         return snapshots

@@ -12,17 +12,19 @@ it engineering rather than a ``Pool.map`` call is the contract:
   in cell order.  The merged output of a sweep is therefore identical
   for 1 worker, N workers, and the in-process fallback.
 - **Warm workers.**  Worker processes are spawned once and reused across
-  cells (and across :meth:`SweepExecutor.run` calls), the same persistent
-  lifecycle the verification data plane uses (PROTOCOL.md §10/§12).
+  cells (and across :meth:`SweepExecutor.run` calls) by the
+  :class:`~repro.core.workers.Supervisor` every process pool shares
+  (PROTOCOL.md §10.1).
 - **Crash containment.**  A worker that dies mid-cell is detected at its
   process sentinel, respawned, and the lost cell re-dispatched **exactly
   once**; a second death on the same cell fails the sweep loudly rather
   than looping.  A Python exception inside the cell function is not a
   crash — it is deterministic, so it propagates immediately with the
   worker-side traceback.
-- **Graceful degrade.**  On boxes where ``os.cpu_count() < 2`` (or with
-  ``workers=0``) the executor runs cells in-process — same results, no
-  process machinery, recorded as configuration rather than failure.
+- **Graceful degrade.**  With ``workers=0`` — which
+  :meth:`SweepExecutor.auto` picks by the supervisor's degrade rule —
+  the executor runs cells in-process: same results, no process
+  machinery, recorded as configuration rather than failure.
 
 Telemetry lands under the ``sweep.*`` prefix via
 :meth:`SweepExecutor.register_telemetry`, mirroring every other
@@ -32,15 +34,15 @@ PROTOCOL.md §15.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
+import pickle
 import traceback
 from collections import deque
 from dataclasses import dataclass, field
-from multiprocessing.connection import wait as _mp_wait
+from functools import partial
 from typing import Any, Callable, Iterable, Sequence
 
 from .seeding import derive_seed
+from .workers import Supervisor, cpu_count, pooled_or_in_process
 
 __all__ = [
     "SweepCell",
@@ -118,6 +120,8 @@ def _worker_main(conn, fn: CellFn) -> None:
 
 
 _UNSET = object()
+#: ``("quit",)`` as the bytes ``Connection.send`` would write.
+_QUIT_FRAME = pickle.dumps(("quit",))
 
 
 class SweepExecutor:
@@ -135,9 +139,9 @@ class SweepExecutor:
         :meth:`auto` decide (callers constructing directly must pass an
         explicit value).
     start_method:
-        ``multiprocessing`` start method; default prefers ``fork`` where
-        available (milliseconds to warm a worker) with ``spawn`` as the
-        portable fallback — the same ladder the verifier pool uses.
+        ``multiprocessing`` start method; the default is the shared
+        :class:`~repro.core.workers.Supervisor`'s (``fork`` where
+        available, ``spawn`` otherwise).
     max_redispatch:
         Crash re-dispatches allowed per cell (default 1: exactly-once
         re-dispatch, then fail loudly).
@@ -158,20 +162,17 @@ class SweepExecutor:
         self.campaign_seed = campaign_seed
         self.max_redispatch = max_redispatch
         self.stats = SweepStats(workers=workers, in_process=workers == 0)
-        if start_method is None:
-            methods = multiprocessing.get_all_start_methods()
-            start_method = "fork" if "fork" in methods else "spawn"
-        self._ctx = multiprocessing.get_context(start_method)
         self._workers = workers
-        self._conns: list = [None] * workers
-        self._procs: list = [None] * workers
         self._closed = False
-        try:
-            for index in range(workers):
-                self._spawn(index)
-        except BaseException:
-            self.close()
-            raise
+        self._pool = Supervisor(
+            _worker_main,
+            workers,
+            name="sweep-worker",
+            quit_frame=_QUIT_FRAME,
+            launch=lambda index: ((fn,), ()),
+            start_method=start_method,
+        )
+        self._pool.start()
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -183,71 +184,45 @@ class SweepExecutor:
         *,
         campaign_seed: int = 0,
         workers: int | None = None,
-        min_cores: int = 2,
         **kwargs,
     ) -> "SweepExecutor":
         """Build an executor sized for this box.
 
-        When ``workers`` is None and the box has fewer than ``min_cores``
-        CPUs, worker processes would only add IPC over the same core —
-        degrade to in-process (``workers=0``, recorded as configuration,
-        not failure).  Otherwise default to ``min(4, cpu_count)``.  An
-        explicit ``workers`` value is always honored.
+        When ``workers`` is None the supervisor's degrade rule decides:
+        ``min(4, cpu_count)`` workers, or in-process (``workers=0``,
+        recorded as configuration, not failure) on a box with too few
+        CPUs.  An explicit ``workers`` value is honored on any box.
+        Either way, workers that cannot start degrade to in-process.
         """
-        if workers is None:
-            cpus = os.cpu_count() or 1
-            workers = 0 if cpus < min_cores else min(4, cpus)
-        return cls(fn, campaign_seed=campaign_seed, workers=workers, **kwargs)
+        build = partial(cls, fn, campaign_seed=campaign_seed, **kwargs)
+        count = min(4, cpu_count()) if workers is None else workers
+        return pooled_or_in_process(
+            partial(build, workers=count),
+            partial(build, workers=0),
+            check_cores=workers is None,
+        )
 
     @property
     def in_process(self) -> bool:
         """True when cells run in this process (degrade mode)."""
         return self._workers == 0
 
+    @property
+    def _procs(self) -> list:
+        """Worker processes by slot (None for an empty slot)."""
+        return [
+            worker.process if worker is not None else None
+            for worker in self._pool.workers
+        ]
+
     def cell_seed(self, cell: SweepCell) -> int:
         """The derived seed a cell runs under (stable, label-addressed)."""
         return derive_seed(self.campaign_seed, "sweep", *cell.labels)
 
-    # ------------------------------------------------------------------
-    # Worker lifecycle
-    # ------------------------------------------------------------------
-    def _spawn(self, index: int) -> None:
-        parent, child = self._ctx.Pipe()
-        process = self._ctx.Process(
-            target=_worker_main,
-            args=(child, self.fn),
-            name=f"sweep-worker-{index}",
-            daemon=True,
-        )
-        process.start()
-        child.close()
-        self._conns[index] = parent
-        self._procs[index] = process
-
-    def _reap(self, index: int) -> None:
-        conn, self._conns[index] = self._conns[index], None
-        proc, self._procs[index] = self._procs[index], None
-        if conn is not None:
-            conn.close()
-        if proc is not None:
-            proc.join(timeout=5.0)
-            if proc.is_alive():  # pragma: no cover - defensive
-                proc.kill()
-                proc.join(timeout=5.0)
-
     def close(self) -> None:
         """Shut the pool down (idempotent)."""
-        if self._closed:
-            return
         self._closed = True
-        for conn in self._conns:
-            if conn is not None:
-                try:
-                    conn.send(("quit",))
-                except (BrokenPipeError, OSError):
-                    pass
-        for index in range(self._workers):
-            self._reap(index)
+        self._pool.close()
 
     def __enter__(self) -> "SweepExecutor":
         return self
@@ -292,19 +267,17 @@ class SweepExecutor:
         redispatches = [0] * len(cells)
         inflight: dict[int, int] = {}  # worker index -> cell index
         remaining = len(cells)
+        workers = self._pool.workers
 
         while remaining:
-            idle = [
-                w
-                for w in range(self._workers)
-                if w not in inflight and self._conns[w] is not None
-            ]
-            for w in idle:
+            for w, worker in enumerate(workers):
                 if not pending:
                     break
+                if w in inflight or worker is None:
+                    continue
                 cell_index = pending.popleft()
                 cell = cells[cell_index]
-                self._conns[w].send(
+                worker.conn.send(
                     ("cell", cell_index, cell.params, self.cell_seed(cell))
                 )
                 inflight[w] = cell_index
@@ -312,41 +285,26 @@ class SweepExecutor:
             if not inflight:  # pragma: no cover - defensive
                 raise SweepError("no live workers and cells remain")
 
-            conn_of = {self._conns[w]: w for w in inflight}
-            sentinel_of = {self._procs[w].sentinel: w for w in inflight}
-            ready = _mp_wait(list(conn_of) + list(sentinel_of))
-            ready_workers: dict[int, bool] = {}  # worker -> conn readable
-            for item in ready:
-                if item in conn_of:
-                    ready_workers[conn_of[item]] = True
-                else:
-                    ready_workers.setdefault(sentinel_of[item], False)
-
-            for w, readable in ready_workers.items():
-                cell_index = inflight[w]
-                if readable:
-                    try:
-                        message = self._conns[w].recv()
-                    except (EOFError, OSError):
-                        del inflight[w]
-                        self._handle_crash(w, cell_index, pending, redispatches)
-                        continue
-                    del inflight[w]
-                    kind, index, payload = message
-                    if kind == "err":
-                        self.close()
-                        raise SweepError(
-                            f"cell {cells[index].labels!r} raised in worker:\n"
-                            f"{payload}"
-                        )
-                    results[index] = payload
-                    self.stats.cells_completed += 1
-                    remaining -= 1
-                else:
-                    # Sentinel fired with nothing to read: the worker died
-                    # mid-cell.
-                    del inflight[w]
+            for w, readable in self._pool.wait(inflight).items():
+                cell_index = inflight.pop(w)
+                try:
+                    # Nothing to read: the worker died mid-cell.
+                    message = workers[w].conn.recv() if readable else None
+                except (EOFError, OSError):
+                    message = None
+                if message is None:
                     self._handle_crash(w, cell_index, pending, redispatches)
+                    continue
+                kind, index, payload = message
+                if kind == "err":
+                    self.close()
+                    raise SweepError(
+                        f"cell {cells[index].labels!r} raised in worker:\n"
+                        f"{payload}"
+                    )
+                results[index] = payload
+                self.stats.cells_completed += 1
+                remaining -= 1
 
         return results
 
@@ -357,7 +315,6 @@ class SweepExecutor:
         pending: deque[int],
         redispatches: list[int],
     ) -> None:
-        self._reap(worker)
         self.stats.worker_restarts += 1
         redispatches[cell_index] += 1
         if redispatches[cell_index] > self.max_redispatch:
@@ -367,7 +324,7 @@ class SweepExecutor:
                 f"{redispatches[cell_index]} times; giving up "
                 "(exactly-once re-dispatch exhausted)"
             )
-        self._spawn(worker)
+        self._pool.restart(worker)
         self.stats.cells_redispatched += 1
         pending.appendleft(cell_index)
 
