@@ -70,9 +70,13 @@ class SignerCache:
     :func:`sign_cookie_fields` (HMAC is key-absorption then message
     absorption, and ``copy`` snapshots the former).
 
-    State is bounded: at most ``max_keys`` contexts are kept, evicted in
-    FIFO order — one context per descriptor, so the cap is really a cap
-    on hot descriptors per verifier.
+    A context only pays off for a key that repeats, so a key's first
+    sighting is signed one-shot and merely remembered; the context is
+    built on its second sighting.  State is bounded: at most
+    ``max_keys`` contexts and ``max_keys`` remembered keys, each set
+    cleared whole when full (like :class:`~repro.core.matcher.ReplayCache`
+    dropping a generation) — O(1) amortized, where evicting the oldest
+    dict entry one at a time rescans the dict's deleted slots.
     """
 
     def __init__(self, max_keys: int = 4096) -> None:
@@ -80,6 +84,7 @@ class SignerCache:
             raise ValueError("max_keys must be at least 1")
         self.max_keys = max_keys
         self._contexts: dict[bytes, "hmac.HMAC"] = {}
+        self._seen_once: set[bytes] = set()
 
     def __len__(self) -> int:
         return len(self._contexts)
@@ -88,19 +93,26 @@ class SignerCache:
         self, key: bytes, cookie_id: int, uuid: bytes, timestamp: float
     ) -> bytes:
         """Equivalent of :func:`sign_cookie_fields` via a cached context."""
-        contexts = self._contexts
-        base = contexts.get(key)
-        if base is None:
-            base = hmac.new(key, digestmod=hashlib.sha256)
-            while len(contexts) >= self.max_keys:
-                del contexts[next(iter(contexts))]
-            contexts[key] = base
-        mac = base.copy()
-        mac.update(
+        message = (
             struct.pack("!Q", cookie_id)
             + uuid
             + struct.pack("!Q", round(timestamp * _TIMESTAMP_SCALE))
         )
+        contexts = self._contexts
+        base = contexts.get(key)
+        if base is None:
+            seen_once = self._seen_once
+            if key not in seen_once:
+                if len(seen_once) >= self.max_keys:
+                    seen_once.clear()
+                seen_once.add(key)
+                return hmac.digest(key, message, "sha256")[:SIGNATURE_BYTES]
+            seen_once.discard(key)
+            if len(contexts) >= self.max_keys:
+                contexts.clear()
+            base = contexts[key] = hmac.new(key, digestmod=hashlib.sha256)
+        mac = base.copy()
+        mac.update(message)
         return mac.digest()[:SIGNATURE_BYTES]
 
 

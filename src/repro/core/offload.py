@@ -130,54 +130,14 @@ class HardwarePrefilter(Element):
             return False
         return True
 
-    def process_batch(self, packets: list[Packet]) -> None:
-        """Batched steering: partition the vector, then one push per path.
+    def _step(self, packet: Packet) -> bool:
+        """The per-packet decision; True steers the packet to software.
 
-        Exactly the scalar per-packet decisions (offload hit → fast with
-        the installed action applied; hardware-visible cookie → software;
-        otherwise fast), but the clock is read once, lookups are bound
-        once, and each target receives its packets as a single batch in
-        arrival order — the shape a real rx-burst pipeline hands to the
-        slow path.
+        An offloaded flow takes the fast path with its installed action
+        applied; otherwise a hardware-visible cookie goes to software and
+        everything else takes the fast path.
         """
         stats = self.stats
-        stats.packets += len(packets)
-        offloaded = self._offloaded
-        extract_all = self.registry.extract_all
-        hardware_accepts = self._hardware_accepts
-        to_software: list[Packet] = []
-        to_fast: list[Packet] = []
-        for packet in packets:
-            try:
-                key = flow_key_of(packet)
-            except ValueError:
-                key = None
-            if key is not None:
-                action = offloaded.get(key)
-                if action is not None:
-                    action(packet)
-                    stats.offloaded_hits += 1
-                    stats.fast_path += 1
-                    to_fast.append(packet)
-                    continue
-            if any(
-                hardware_accepts(cookie)
-                for cookie, _name in extract_all(packet)
-            ):
-                stats.to_software += 1
-                to_software.append(packet)
-            else:
-                stats.fast_path += 1
-                to_fast.append(packet)
-        software_target = self.software_path or self.downstream
-        if software_target is not None and to_software:
-            software_target.push_batch(to_software)
-        fast_target = self.fast_path or self.downstream
-        if fast_target is not None and to_fast:
-            fast_target.push_batch(to_fast)
-
-    def handle(self, packet: Packet) -> None:
-        self.stats.packets += 1
         try:
             key = flow_key_of(packet)
         except ValueError:
@@ -186,21 +146,44 @@ class HardwarePrefilter(Element):
             action = self._offloaded.get(key)
             if action is not None:
                 action(packet)
-                self.stats.offloaded_hits += 1
-                self.stats.fast_path += 1
-                target = self.fast_path or self.downstream
-                if target is not None:
-                    target.push(packet)
-                return
-        needs_software = any(
+                stats.offloaded_hits += 1
+                stats.fast_path += 1
+                return False
+        if any(
             self._hardware_accepts(cookie)
             for cookie, _name in self.registry.extract_all(packet)
-        )
-        if needs_software:
-            self.stats.to_software += 1
+        ):
+            stats.to_software += 1
+            return True
+        stats.fast_path += 1
+        return False
+
+    def handle(self, packet: Packet) -> None:
+        self.stats.packets += 1
+        if self._step(packet):
             target = self.software_path or self.downstream
         else:
-            self.stats.fast_path += 1
             target = self.fast_path or self.downstream
         if target is not None:
             target.push(packet)
+
+    def process_batch(self, packets: list[Packet]) -> None:
+        """Batched steering: partition the vector, then one push per path.
+
+        Each packet takes the same :meth:`_step` as the scalar path, and
+        each target receives its packets as a single batch in arrival
+        order — the shape a real rx-burst pipeline hands to the slow
+        path.
+        """
+        self.stats.packets += len(packets)
+        step = self._step
+        to_software: list[Packet] = []
+        to_fast: list[Packet] = []
+        for packet in packets:
+            (to_software if step(packet) else to_fast).append(packet)
+        software_target = self.software_path or self.downstream
+        if software_target is not None and to_software:
+            software_target.push_batch(to_software)
+        fast_target = self.fast_path or self.downstream
+        if fast_target is not None and to_fast:
+            fast_target.push_batch(to_fast)

@@ -148,54 +148,39 @@ class CookieSwitch(Element):
     # Data path
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        now = self.clock()
-        self.stats.packets += 1
-        try:
-            flow, _is_new = self.flows.observe(packet, now)
-        except ValueError:
-            # Non-IP traffic passes through untouched.
-            self.emit(packet)
-            return
-
-        if flow.service is not None:
-            self._serve_bound(flow, packet, now)
-            self.emit(packet)
-            return
-
-        if flow.packets <= self.sniff_packets:
-            self.stats.packets_sniffed += 1
-            self._try_cookie(flow, packet, now)
+        self._step(packet, self.clock())
         self.emit(packet)
 
     def process_batch(self, packets: list[Packet]) -> None:
         """Batched data path: the whole vector shares one clock reading.
 
-        State transitions (flow table, bindings, stats) are identical to
+        Each packet takes the same :meth:`_step` as the scalar path, so
+        state transitions (flow table, bindings, stats) are identical to
         a scalar left-to-right pass at the same instant — including
         intra-batch effects such as a cookie on packet *i* binding the
         flow that packet *i+1* then rides as a bound flow.  Surviving
         packets are forwarded downstream as one batch.
         """
         now = self.clock()
-        stats = self.stats
-        observe = self.flows.observe
-        sniff_packets = self.sniff_packets
-        out: list[Packet] = []
-        append = out.append
+        step = self._step
         for packet in packets:
-            stats.packets += 1
-            try:
-                flow, _is_new = observe(packet, now)
-            except ValueError:
-                append(packet)
-                continue
-            if flow.service is not None:
-                self._serve_bound(flow, packet, now)
-            elif flow.packets <= sniff_packets:
-                stats.packets_sniffed += 1
-                self._try_cookie(flow, packet, now)
-            append(packet)
-        self.emit_batch(out)
+            step(packet, now)
+        self.emit_batch(packets)
+
+    def _step(self, packet: Packet, now: float) -> None:
+        """The per-packet decision: serve a bound flow, sniff for a
+        cookie in the first packets of an unbound one, or pass."""
+        self.stats.packets += 1
+        try:
+            flow, _is_new = self.flows.observe(packet, now)
+        except ValueError:
+            # Non-IP traffic passes through untouched.
+            return
+        if flow.service is not None:
+            self._serve_bound(flow, packet, now)
+        elif flow.packets <= self.sniff_packets:
+            self.stats.packets_sniffed += 1
+            self._try_cookie(flow, packet, now)
 
     def _try_cookie(self, flow: Flow, packet: Packet, now: float) -> None:
         # A packet may carry several composed cookies (e.g. one per access

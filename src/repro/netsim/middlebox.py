@@ -82,6 +82,12 @@ class Element:
         to leave the element (state, counters, emitted packets and their
         order) exactly as ``for p in packets: self.handle(p)`` would,
         with every packet in the batch sharing one observation time.
+        An element with a per-packet decision keeps it in one private
+        step that :meth:`handle` and its override both call; the
+        override adds only what batching buys: one clock read per
+        burst, aggregated counters and one :meth:`emit_batch` (plus, on
+        the unbilled zero-rating middlebox, coalescing of a resolved
+        flow's consecutive packets).
         """
         handle = self.handle
         for packet in packets:

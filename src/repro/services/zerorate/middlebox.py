@@ -221,21 +221,23 @@ class ZeroRatingMiddlebox(Element):
     # Fast path
     # ------------------------------------------------------------------
     def handle(self, packet: Packet) -> None:
-        self.emit(self._handle_one(packet, self.clock()))
+        self._handle_one(packet, self.clock())
+        self.emit(packet)
 
-    def _handle_one(self, packet: Packet, now: float) -> Packet:
-        """Classify, account, and tag one packet; returns it for emit.
+    def _handle_one(self, packet: Packet, now: float) -> _FlowState | None:
+        """The per-packet decision: classify, account, and tag one packet.
 
-        Shared by the scalar path (one clock read per packet) and the
-        billing-enabled batch path (one clock read per batch — billing
-        needs per-packet catalog decisions, so the resolved-run
-        coalescing of the counter-only batch path does not apply).
+        The only copy of flow lookup and eviction, the sniff window with
+        fail-safe verification, resolution, and subscriber accounting;
+        :meth:`handle` calls it with a fresh clock reading per packet and
+        :meth:`process_batch` once per packet it does not coalesce.
+        Returns the packet's flow state (``None`` for non-IP traffic).
         """
         self.packets_processed += 1
         ip = packet.ip
         l4 = packet.l4
         if ip is None or l4 is None:
-            return packet
+            return None
         # Canonical bidirectional key without FlowTable overhead.
         a = (ip.src, l4.src_port)
         b = (ip.dst, l4.dst_port)
@@ -278,10 +280,9 @@ class ZeroRatingMiddlebox(Element):
                 # offload hook must still fire.
                 self._resolve(key, state)
 
-        free = self._account(state, packet, now)
-        if free:
+        if self._account(state, packet, now):
             packet.meta["zero_rated"] = True
-        return packet
+        return state
 
     def process_batch(self, packets: list[Packet]) -> None:
         """Batched fast path: one tick's packets, one observation time.
@@ -289,111 +290,32 @@ class ZeroRatingMiddlebox(Element):
         Semantically identical to ``for p in packets: self.handle(p)``
         with the clock frozen for the batch (the scalar path reads the
         clock per packet; batch arrival means the whole vector is
-        observed at the tick's start).  The per-packet savings:
+        observed at the tick's start).  Packets take the same
+        :meth:`_handle_one` step as the scalar path; the batch adds only
+        one clock read, one ``emit_batch``, and run coalescing.
 
-        - the clock is read once per batch, telemetry counters are
-          aggregated in locals and flushed once;
-        - every ``self.`` attribute used on the hot path is bound once;
-        - consecutive packets of a *resolved* flow (the common burst
-          shape — think GRO) coalesce into a run: the head packet pays
-          the full dict/LRU path, the rest of the run only compares
-          header fields against the head, accumulates bytes, and is
-          billed to the flow's counter in one addition.  Final LRU order
-          and counter values are unchanged — consecutive scalar touches
-          of one key neither move it relative to other keys nor bill a
-          different total.
+        Consecutive packets of a *resolved* flow (the common burst
+        shape — think GRO) coalesce into a run: the head packet takes
+        the step, the rest of the run only compares header fields
+        against the head, accumulates bytes, and is billed to the flow's
+        counter in one addition.  Final LRU order and counter values are
+        unchanged — consecutive scalar touches of one key neither move it
+        relative to other keys nor bill a different total.
 
-        With billing enabled the coalescing is unsound (a cap can cross
-        mid-run, flipping freeness per packet), so the batch degrades to
-        the shared per-packet path with one clock read.
+        With billing enabled coalescing is off (a cap can cross mid-run,
+        flipping freeness per packet), so every packet takes the step.
         """
         now = self.clock()
-        if self.billing is not None:
-            self.emit_batch([self._handle_one(p, now) for p in packets])
-            return
-        flows = self._flows
-        counters = self.counters
-        extract = self.registry.extract
-        match = self._match_failsafe
-        sniff = self.sniff_packets
-        idle = self.flow_idle_timeout
-        max_subscribers = self.max_subscribers
-        on_subscriber_evicted = self.on_subscriber_evicted
-        processed = 0
-        hits = 0
-        misses = 0
-        out: list[Packet] = []
-        append = out.append
+        step = self._handle_one
+        coalesce = self.billing is None
+        coalesced = 0
         index = 0
         total = len(packets)
         while index < total:
             packet = packets[index]
             index += 1
-            processed += 1
-            ip = packet.ip
-            l4 = packet.l4
-            if ip is None or l4 is None:
-                append(packet)
-                continue
-            src = ip.src
-            dst = ip.dst
-            sport = l4.src_port
-            dport = l4.dst_port
-            proto = ip.proto
-            a = (src, sport)
-            b = (dst, dport)
-            key = (a, b, proto) if a <= b else (b, a, proto)
-            state = flows.pop(key, None)
-            if state is None:
-                self._evict_for_space(now)
-                state = _FlowState(subscriber_ip=self._subscriber_of(src, dst))
-            elif now - state.last_seen > idle:
-                self.flows_evicted_idle += 1
-                state = _FlowState(subscriber_ip=self._subscriber_of(src, dst))
-            state.last_seen = now
-            flows[key] = state
-            packets_seen = state.packets_seen + 1
-            state.packets_seen = packets_seen
-
-            if not state.resolved and packets_seen <= sniff:
-                found = extract(packet)
-                if found is not None:
-                    packet.meta["cookie_checked"] = True
-                    descriptor = match(found[0], now)
-                    if descriptor is not None:
-                        state.zero_rated = True
-                        state.service = descriptor.service_data
-                        hits += 1
-                        self._resolve(key, state)
-                    else:
-                        misses += 1
-                if not state.resolved and packets_seen >= sniff:
-                    self._resolve(key, state)
-
-            # Inlined _account for the head packet.
-            subscriber_ip = state.subscriber_ip
-            sub_counters = counters.get(subscriber_ip)
-            if sub_counters is None:
-                while len(counters) >= max_subscribers:
-                    evicted_ip = next(iter(counters))
-                    evicted = counters.pop(evicted_ip)
-                    self.subscribers_evicted += 1
-                    if on_subscriber_evicted is not None:
-                        on_subscriber_evicted(evicted_ip, evicted)
-                sub_counters = SubscriberCounters()
-                counters[subscriber_ip] = sub_counters
-            elif packets_seen == 1:
-                del counters[subscriber_ip]
-                counters[subscriber_ip] = sub_counters
-            zero_rated = state.zero_rated
-            if zero_rated:
-                sub_counters.free_bytes += packet.wire_length
-                packet.meta["zero_rated"] = True
-            else:
-                sub_counters.charged_bytes += packet.wire_length
-            append(packet)
-
-            if not state.resolved:
+            state = step(packet, now)
+            if state is None or not coalesce or not state.resolved:
                 continue
             # Resolved-run fast sub-loop: consume every immediately
             # following packet of the same conversation (either
@@ -406,6 +328,14 @@ class ZeroRatingMiddlebox(Element):
             # types pick constant-size wire-length arithmetic and only
             # packets carrying options/extensions fall back to the
             # header's own property.
+            ip = packet.ip
+            l4 = packet.l4
+            src = ip.src
+            dst = ip.dst
+            sport = l4.src_port
+            dport = l4.dst_port
+            proto = ip.proto
+            zero_rated = state.zero_rated
             ip_is_v4 = type(ip) is _IPv4Header
             l4_is_tcp = type(l4) is _TCPHeader
             run_packets = 0
@@ -456,18 +386,17 @@ class ZeroRatingMiddlebox(Element):
                 run_bytes += wire
                 if zero_rated:
                     nxt.meta["zero_rated"] = True
-                append(nxt)
             if run_packets:
-                processed += run_packets
-                state.packets_seen = packets_seen + run_packets
+                coalesced += run_packets
+                state.packets_seen += run_packets
+                # The head's step left this subscriber's counters in place.
+                sub_counters = self.counters[state.subscriber_ip]
                 if zero_rated:
                     sub_counters.free_bytes += run_bytes
                 else:
                     sub_counters.charged_bytes += run_bytes
-        self.packets_processed += processed
-        self.cookie_hits += hits
-        self.cookie_misses += misses
-        self.emit_batch(out)
+        self.packets_processed += coalesced
+        self.emit_batch(packets)
 
     def _match_failsafe(self, cookie, now: float):
         """``matcher.match`` with the fail-safe rule: a verifier *error*

@@ -345,6 +345,27 @@ class TestSignerCache:
                 key, 1, _uuid(1), NOW
             )
 
+    def test_key_seen_once_holds_no_context(self):
+        """A context is built on a key's second sighting, never its
+        first; both cache levels stay within ``max_keys``."""
+        cache = SignerCache(max_keys=4)
+        keys = [bytes([i]) * 32 for i in range(10)]
+
+        def sign_all(batch):
+            for index, key in enumerate(batch):
+                assert cache.sign(
+                    key, index, _uuid(index), NOW
+                ) == sign_cookie_fields(key, index, _uuid(index), NOW)
+
+        sign_all(keys)
+        assert len(cache) == 0
+        # The last two keys are still remembered: seen twice now.
+        sign_all(keys[-2:])
+        assert len(cache) == 2
+        sign_all(keys[-2:] + keys[:6] + keys[:6])
+        assert len(cache) <= cache.max_keys
+        assert len(cache._seen_once) <= cache.max_keys
+
 
 class TestShardedReplayCache:
     @settings(max_examples=40, deadline=None)

@@ -9,11 +9,15 @@ their metadata, per-IP byte counters, flow-table state and LRU order,
 eviction/resolution counters, and telemetry snapshots.  Hypothesis
 drives adversarial traffic: interleaved flows with valid, malformed, and
 absent cookies, mixed free/charged subscribers, tiny state caps, and
-idle gaps between bursts.
+idle gaps between bursts.  A billing-enabled middlebox is compared the
+same way, down to the accountant's pending deltas, journal records and
+invoices.
 """
 
+import tempfile
+
 import hypothesis.strategies as st
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from repro.core import (
     CookieDescriptor,
@@ -28,7 +32,13 @@ from repro.core.transport import default_registry
 from repro.netsim.appmsg import TLSClientHello
 from repro.netsim.middlebox import Sink
 from repro.netsim.packet import make_tcp_packet
-from repro.services.zerorate import ZeroRatingMiddlebox
+from repro.services.billing import BillingAccountant, BillingJournal, reconcile
+from repro.services.zerorate import (
+    AppCoverage,
+    CatalogSet,
+    OperatorCatalog,
+    ZeroRatingMiddlebox,
+)
 from repro.telemetry import MetricsRegistry
 
 COOKIE_KINDS = ("valid", "bad_sig", "none")
@@ -281,17 +291,20 @@ class TestMiddleboxDifferential:
         order = [0, 1, 2] * 4
         stream = _interleaved(descriptor, clock, plans, order)
         scalar_log, batched_log = [], []
+
+        def logger(log):
+            return lambda key, state: log.append(
+                (key, state.subscriber_ip, state.remote_ip, state.service,
+                 state.zero_rated)
+            )
+
         scalar = ZeroRatingMiddlebox(
             CookieMatcher(store), clock=clock,
-            on_flow_resolved=lambda key, state: scalar_log.append(
-                (key, state.zero_rated)
-            ),
+            on_flow_resolved=logger(scalar_log),
         )
         batched = ZeroRatingMiddlebox(
             CookieMatcher(store), clock=clock,
-            on_flow_resolved=lambda key, state: batched_log.append(
-                (key, state.zero_rated)
-            ),
+            on_flow_resolved=logger(batched_log),
         )
         for packet in stream:
             scalar.handle(packet.clone())
@@ -339,6 +352,94 @@ class TestMiddleboxDifferential:
             ip: (c.free_bytes, c.charged_bytes)
             for ip, c in scalar.counters.items()
         }
+
+
+REMOTE = "93.184.216.34"
+
+
+def _billed_middlebox(store, journal_dir, cap_bytes, max_subscribers):
+    """A billing-enabled middlebox: the first two subscribers' operator
+    caps the zero-rated app, the third's does not."""
+    catalogs = CatalogSet([
+        OperatorCatalog(
+            operator="op-capped",
+            apps=(AppCoverage(app="zero-rate", origin_ips=frozenset({REMOTE})),),
+            cap_bytes=cap_bytes,
+        ),
+        OperatorCatalog(
+            operator="op-open",
+            apps=(AppCoverage(app="zero-rate", origin_ips=frozenset({REMOTE})),),
+        ),
+    ])
+    catalogs.assign(SUBSCRIBERS[0], "op-capped")
+    catalogs.assign(SUBSCRIBERS[1], "op-capped")
+    catalogs.assign(SUBSCRIBERS[2], "op-open")
+    accountant = BillingAccountant(
+        catalogs, BillingJournal(journal_dir, fsync="never")
+    )
+    middlebox = ZeroRatingMiddlebox(
+        CookieMatcher(store), clock=Clock(), billing=accountant,
+        max_subscribers=max_subscribers,
+    )
+    sink = Sink()
+    middlebox >> sink
+    return middlebox, sink, accountant
+
+
+class TestBilledMiddleboxDifferential:
+    """With billing, freeness is a per-packet catalog decision, so the
+    batch path must not coalesce resolved runs: a cap crossed mid-run
+    flips freeness between two packets of one flow."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        plan=traffic(max_flows=4, max_packets=8),
+        chunk=st.integers(1, 8),
+        cap_bytes=st.integers(0, 8000),
+        max_subscribers=st.integers(1, 3),
+    )
+    # One contiguous resolved run whose cap (4000 B) is crossed at its
+    # fourth packet, fed as a single batch.
+    @example(
+        plan=([("valid", 8)], [0] * 8), chunk=8, cap_bytes=4000,
+        max_subscribers=1,
+    )
+    def test_billed_batch_equals_scalar(
+        self, plan, chunk, cap_bytes, max_subscribers
+    ):
+        plans, order = plan
+        store, descriptor = _store()
+        stream = _interleaved(descriptor, Clock(), plans, order)
+        with tempfile.TemporaryDirectory() as scalar_dir, (
+            tempfile.TemporaryDirectory()
+        ) as batched_dir:
+            scalar, scalar_sink, scalar_billing = _billed_middlebox(
+                store, scalar_dir, cap_bytes, max_subscribers
+            )
+            batched, batched_sink, batched_billing = _billed_middlebox(
+                store, batched_dir, cap_bytes, max_subscribers
+            )
+            for packet in stream:
+                scalar.handle(packet.clone())
+            clones = [packet.clone() for packet in stream]
+            for start in range(0, len(clones), chunk):
+                batched.process_batch(clones[start : start + chunk])
+
+            assert _middlebox_observables(
+                batched, batched_sink
+            ) == _middlebox_observables(scalar, scalar_sink)
+            assert batched_billing._pending == scalar_billing._pending
+            assert batched_billing._cap_used == scalar_billing._cap_used
+            assert batched_billing.stats_dict() == scalar_billing.stats_dict()
+            records = []
+            for accountant in (scalar_billing, batched_billing):
+                accountant.flush_all()
+                records.append(list(accountant.journal.records()))
+                accountant.journal.close()
+            assert records[1] == records[0]
+            assert reconcile(records[1]).to_json() == (
+                reconcile(records[0]).to_json()
+            )
 
 
 def _switch_observables(switch, sink):
