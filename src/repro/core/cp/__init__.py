@@ -16,10 +16,10 @@ store.  This package is the control-plane counterpart:
   store fed by snapshot + delta replay with per-shard applied offsets
   and a partition switch for drills.
 * :mod:`.service` — :class:`ShardedControlPlane`, the front door: routes
-  by :func:`~repro.core.distributed.rendezvous_shard`, sheds bursts via
-  the PR-4 :class:`~repro.core.resilience.CircuitBreaker` + a pending
-  cap, broadcasts revocations to registered replicas under a measured
-  staleness bound, and merges telemetry into the PR-1 registry.
+  by :func:`~repro.core.distributed.rendezvous_shard` to in-process
+  shards with direct calls, sheds bursts past a pending cap, broadcasts
+  revocations to registered replicas under a measured staleness bound,
+  and merges telemetry into the PR-1 registry.
 * :mod:`.netserver` — :class:`AsyncControlPlaneServer`, the JSON-lines
   TCP front end with the connection/body caps shared with
   :class:`~repro.core.netserver.AsyncCookieServer`.

@@ -5,8 +5,8 @@ Same JSON-lines framing as :class:`~repro.core.netserver.AsyncCookieServer`
 :class:`~repro.core.netserver.CookieClient` pointed here just works —
 plus the control plane's admission gate: every request passes through
 :meth:`ShardedControlPlane.admit` first, so a burst beyond the pending
-cap or a tripped breaker answers with the structured shed error instead
-of queueing without bound.
+cap answers with the structured shed error instead of queueing without
+bound.
 """
 
 from __future__ import annotations

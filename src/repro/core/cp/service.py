@@ -4,8 +4,8 @@
 :class:`~repro.core.server.CookieServer` with N
 :class:`~.shard.ControlPlaneShard` partitions keyed by the data plane's
 rendezvous hash.  The dispatcher mints cookie ids, routes every op to the
-owning shard, and layers on the distributed-systems duties the shards
-themselves stay ignorant of:
+owning shard with a direct call, and layers on the distributed-systems
+duties the shards themselves stay ignorant of:
 
 * **Replication** — verifier replicas register here; revocations are
   broadcast eagerly to every reachable replica and an anti-entropy
@@ -16,22 +16,17 @@ themselves stay ignorant of:
   log from its applied offset; if compaction truncated that window it
   gets snapshot-then-replay instead.
 * **Load shedding** — an admission gate (:meth:`admit`/:meth:`release`)
-  caps in-flight requests and consults the PR-4
-  :class:`~repro.core.resilience.CircuitBreaker`; over-limit or
-  breaker-open arrivals get a structured ``{"shed": true}`` error
-  instead of unbounded queueing.
-* **Process mode** — each shard can run in a worker process served over
-  a pipe (§14.4).  The parent retains an authoritative delta log +
-  descriptor mirror per worker shard, so replica sync never blocks on a
-  worker round-trip and a crashed worker is respawned and re-seeded
-  from the mirror.  ``mode="auto"`` picks process workers for more than
-  one shard under the shared supervisor's degrade rule
-  (:mod:`repro.core.workers`).
+  caps in-flight requests; over-limit arrivals get a structured
+  ``{"shed": true}`` error instead of unbounded queueing.
+
+Every shard lives in the dispatcher's process.  A process-per-shard mode
+existed once and was removed: on the churn schedule the parent alone
+spent as much CPU per op routing and mirroring as one in-process shard
+spends serving the op, so no core count could make it win.
 """
 
 from __future__ import annotations
 
-import pickle
 import secrets
 import time
 from dataclasses import dataclass
@@ -41,13 +36,11 @@ from ..descriptor import COOKIE_ID_BITS, CookieDescriptor
 from ..distributed import rendezvous_shard
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, OpenAccessPolicy
-from ..resilience import CircuitBreaker
 from ..server import ServiceOffering
-from ..workers import Supervisor, pooled_or_in_process
 from ...telemetry.metrics import Histogram, TelemetrySnapshot
-from .deltalog import DeltaLog, LogTruncated, StoreSnapshot
+from .deltalog import LogTruncated
 from .replica import ReplicaUnreachable, VerifierReplica
-from .shard import ControlPlaneShard, offering_to_json, shard_worker_main
+from .shard import ControlPlaneShard
 
 __all__ = ["ControlPlaneStats", "ShardedControlPlane", "BROADCAST_LAG_BUCKETS"]
 
@@ -57,14 +50,6 @@ __all__ = ["ControlPlaneStats", "ShardedControlPlane", "BROADCAST_LAG_BUCKETS"]
 BROADCAST_LAG_BUCKETS = (
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0
 )
-
-
-#: ``{"op": "quit"}`` as the bytes ``Connection.send`` would write.
-_QUIT_FRAME = pickle.dumps({"op": "quit"})
-
-
-class _ShardFailure(Exception):
-    """A worker shard's pipe died mid-request."""
 
 
 @dataclass
@@ -77,221 +62,11 @@ class ControlPlaneStats:
     removed: int = 0
     renewed: int = 0
     shed_pending: int = 0
-    shed_breaker: int = 0
-    worker_failures: int = 0
     syncs: int = 0
     snapshot_catchups: int = 0
 
     def as_dict(self) -> dict[str, int]:
         return dict(self.__dict__)
-
-
-class _LocalShard:
-    """In-process shard handle: direct calls, the shard's log is ours."""
-
-    mode = "in-process"
-
-    def __init__(self, shard: ControlPlaneShard) -> None:
-        self.shard = shard
-
-    @property
-    def log(self) -> DeltaLog:
-        return self.shard.log
-
-    def offer(self, offering: ServiceOffering) -> None:
-        self.shard.offer(offering)
-
-    def withdraw(self, name: str) -> None:
-        self.shard.withdraw_offering(name)
-
-    def acquire_batch(
-        self, requests: list[tuple], now: float
-    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
-        descriptors: list[dict[str, Any] | None] = []
-        errors: list[str | None] = []
-        for entry in requests:
-            try:
-                descriptor = self.shard.acquire(
-                    entry[0],
-                    entry[1],
-                    now,
-                    cookie_id=entry[2],
-                    credentials=entry[3] if len(entry) > 3 else None,
-                    preferences=entry[4] if len(entry) > 4 else None,
-                )
-            except AcquisitionDenied as exc:
-                descriptors.append(None)
-                errors.append(str(exc))
-            else:
-                descriptors.append(descriptor.to_json())
-                errors.append(None)
-        return descriptors, errors
-
-    def revoke_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        return [self.shard.revoke(cid, now) for cid in cookie_ids]
-
-    def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        return [self.shard.remove(cid, now) for cid in cookie_ids]
-
-    def purge_expired(self, now: float) -> int:
-        return len(self.shard.purge_expired(now))
-
-    def lookup(self, cookie_id: int) -> dict[str, Any] | None:
-        descriptor = self.shard.lookup(cookie_id)
-        return None if descriptor is None else descriptor.to_json()
-
-    def snapshot(self) -> StoreSnapshot:
-        return self.shard.snapshot()
-
-    def stats(self) -> dict[str, int]:
-        return self.shard.stats()
-
-
-class _WorkerShard:
-    """Process-mode shard handle: §14.4 frames over a pipe.
-
-    The parent-side :class:`DeltaLog` and descriptor mirror are the
-    authoritative replication feed — the worker owns *serving* state
-    (policy checks, key minting, its own store), the parent owns
-    *replication* state.  The mirror is copy-on-write under revocation
-    so logged ``add`` records keep their original descriptor payloads.
-    When no worker can be started, the same frames are served by an
-    in-process :class:`ControlPlaneShard` seeded the same way.
-    """
-
-    mode = "process"
-
-    def __init__(
-        self, index: int, policy: AccessPolicy | None, pool: Supervisor
-    ) -> None:
-        self.index = index
-        self.policy = policy
-        self._pool = pool
-        self.log = DeltaLog()
-        self.mirror: dict[int, dict[str, Any]] = {}
-        self.offerings: dict[str, dict[str, Any]] = {}
-        self._local: ControlPlaneShard | None = None
-
-    @property
-    def degraded(self) -> bool:
-        return self._local is not None
-
-    @property
-    def restarts(self) -> int:
-        return self._pool.restarts[self.index]
-
-    def _serve(self, frame: dict[str, Any]) -> dict[str, Any]:
-        if self._local is not None:
-            return self._local.handle(frame)
-        try:
-            conn = self._pool.workers[self.index].conn
-            conn.send(frame)
-            return conn.recv()
-        except (BrokenPipeError, EOFError, OSError) as exc:
-            raise _ShardFailure(str(exc)) from exc
-
-    def _request(self, frame: dict[str, Any]) -> dict[str, Any]:
-        """One frame with a single restart-and-retry on worker death."""
-        try:
-            return self._serve(frame)
-        except _ShardFailure:
-            self.restart()
-            return self._serve(frame)
-
-    def restart(self) -> None:
-        """Respawn the worker, re-seeded from the parent mirror; falls
-        back to a degraded in-process shard when spawning itself fails."""
-        if not self._pool.restart(self.index):
-            self._local = ControlPlaneShard(self.index, policy=self.policy)
-        if self.mirror or self.log.next_offset:
-            self._serve({"op": "install", "snapshot": self.snapshot().to_json()})
-        for offering in self.offerings.values():
-            self._serve({"op": "offer", "offering": offering})
-
-    def offer(self, offering: ServiceOffering) -> None:
-        if offering.attribute_factory is not None:
-            raise ValueError(
-                "process-mode shards cannot ship attribute_factory "
-                "closures; use lifetime-based offerings or in-process mode"
-            )
-        data = offering_to_json(offering)
-        self.offerings[offering.name] = data
-        self._request({"op": "offer", "offering": data})
-
-    def withdraw(self, name: str) -> None:
-        self.offerings.pop(name, None)
-        self._request({"op": "withdraw", "name": name})
-
-    def acquire_batch(
-        self, requests: list[tuple[str, str, int]], now: float
-    ) -> tuple[list[dict[str, Any] | None], list[str | None]]:
-        response = self._request(
-            {"op": "acquire_batch", "now": now, "requests": requests}
-        )
-        descriptors = response["descriptors"]
-        for data in descriptors:
-            if data is not None:
-                cookie_id = int(data["cookie_id"])
-                self.mirror[cookie_id] = data
-                self.log.append("add", cookie_id, now, data)
-        return descriptors, response["errors"]
-
-    def revoke_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        revoked = self._request(
-            {"op": "revoke_batch", "now": now, "cookie_ids": cookie_ids}
-        )["revoked"]
-        for cookie_id, ok in zip(cookie_ids, revoked):
-            if ok:
-                # Copy-on-write: the "add" record in the log still
-                # references the original un-revoked payload.
-                self.mirror[cookie_id] = {**self.mirror[cookie_id], "revoked": True}
-                self.log.append("revoke", cookie_id, now)
-        return revoked
-
-    def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
-        removed = self._request(
-            {"op": "remove_batch", "now": now, "cookie_ids": cookie_ids}
-        )["removed"]
-        for cookie_id, ok in zip(cookie_ids, removed):
-            if ok:
-                self.mirror.pop(cookie_id, None)
-                self.log.append("remove", cookie_id, now)
-        return removed
-
-    def purge_expired(self, now: float) -> int:
-        response = self._request({"op": "purge_expired", "now": now})
-        removed_ids = [int(cid) for cid in response["removed_ids"]]
-        for cookie_id in removed_ids:
-            self.mirror.pop(cookie_id, None)
-            self.log.append("remove", cookie_id, now)
-        return len(removed_ids)
-
-    def lookup(self, cookie_id: int) -> dict[str, Any] | None:
-        # The mirror is authoritative and saves a worker round-trip.
-        return self.mirror.get(cookie_id)
-
-    def snapshot(self) -> StoreSnapshot:
-        return StoreSnapshot(
-            offset=self.log.next_offset,
-            descriptors=list(self.mirror.values()),
-        )
-
-    def stats(self) -> dict[str, int]:
-        try:
-            stats = self._request({"op": "stats"})["stats"]
-        except _ShardFailure:
-            stats = {"shard": self.index}
-        stats["log_len"] = len(self.log)
-        stats["log_base"] = self.log.base_offset
-        stats["log_next"] = self.log.next_offset
-        stats["descriptors"] = len(self.mirror)
-        stats["restarts"] = self.restarts
-        stats["degraded"] = self.degraded
-        return stats
-
-    def kill(self) -> None:
-        """Hard-kill the worker (drill hook for crash-recovery tests)."""
-        self._pool.kill(self.index)
 
 
 class ShardedControlPlane:
@@ -301,17 +76,18 @@ class ShardedControlPlane:
         self,
         clock: Callable[[], float] = time.monotonic,
         shards: int = 1,
-        mode: str = "auto",
+        mode: str = "in-process",
         policy: AccessPolicy | None = None,
         staleness_bound: float = 1.0,
         max_pending: int = 1024,
-        breaker: CircuitBreaker | None = None,
         eager_broadcast: bool = True,
     ) -> None:
         if shards < 1:
             raise ValueError("shard count must be >= 1")
-        if mode not in ("in-process", "process", "auto"):
-            raise ValueError(f"unknown mode {mode!r}")
+        if mode != "in-process":
+            raise ValueError(
+                f"unknown mode {mode!r}: shards are served in-process only"
+            )
         if staleness_bound <= 0:
             raise ValueError("staleness bound must be positive")
         self.clock = clock
@@ -320,11 +96,6 @@ class ShardedControlPlane:
         self.staleness_bound = staleness_bound
         self.max_pending = max_pending
         self.eager_broadcast = eager_broadcast
-        self.breaker = (
-            breaker
-            if breaker is not None
-            else CircuitBreaker(failure_threshold=5, reset_timeout=5.0, clock=clock)
-        )
         self.offerings: dict[str, ServiceOffering] = {}
         self.stats = ControlPlaneStats()
         self.inflight = 0
@@ -334,36 +105,8 @@ class ShardedControlPlane:
         self._replicas: dict[str, VerifierReplica] = {}
         #: unconfirmed revocations: [shard, offset, revoke_time, {replica}]
         self._pending_revocations: list[list[Any]] = []
-        self._pool: Supervisor | None = None
-        self._shards: list[Any]
-        if mode == "process":
-            self._shards = self._worker_shards()
-        elif mode == "auto" and shards > 1:
-            self._shards = pooled_or_in_process(
-                self._worker_shards, self._local_shards
-            )
-        else:
-            self._shards = self._local_shards()
-        self.mode = self._shards[0].mode
-
-    def _local_shards(self) -> list[_LocalShard]:
-        return [
-            _LocalShard(ControlPlaneShard(i, policy=self.policy))
-            for i in range(self.shard_count)
-        ]
-
-    def _worker_shards(self) -> list[_WorkerShard]:
-        pool = Supervisor(
-            shard_worker_main,
-            self.shard_count,
-            name="cp-shard",
-            quit_frame=_QUIT_FRAME,
-            launch=lambda index: ((index, self.policy), ()),
-        )
-        pool.start()
-        self._pool = pool
-        return [
-            _WorkerShard(i, self.policy, pool) for i in range(self.shard_count)
+        self._shards = [
+            ControlPlaneShard(i, policy=self.policy) for i in range(shards)
         ]
 
     # ------------------------------------------------------------------
@@ -372,14 +115,14 @@ class ShardedControlPlane:
     def offer(self, offering: ServiceOffering) -> ServiceOffering:
         """Advertise a service on every shard (any id can land anywhere)."""
         self.offerings[offering.name] = offering
-        for handle in self._shards:
-            handle.offer(offering)
+        for shard in self._shards:
+            shard.offer(offering)
         return offering
 
     def withdraw_offering(self, name: str) -> None:
         self.offerings.pop(name, None)
-        for handle in self._shards:
-            handle.withdraw(name)
+        for shard in self._shards:
+            shard.withdraw_offering(name)
 
     def list_services(self) -> list[dict[str, Any]]:
         return [o.advertisement() for o in self.offerings.values()]
@@ -394,13 +137,6 @@ class ShardedControlPlane:
         """Admission gate for one request; ``None`` means admitted and
         the caller owes a :meth:`release`.  A dict is the structured
         shed response (§14.6) to return without doing any work."""
-        if not self.breaker.allow():
-            self.stats.shed_breaker += 1
-            return {
-                "ok": False,
-                "shed": True,
-                "error": "control plane shedding load: circuit breaker open",
-            }
         if self.inflight >= self.max_pending:
             self.stats.shed_pending += 1
             return {
@@ -420,52 +156,37 @@ class ShardedControlPlane:
     # ------------------------------------------------------------------
     # Core operations
     # ------------------------------------------------------------------
-    def _mint_ids(self, n: int) -> list[int]:
-        return [secrets.randbits(COOKIE_ID_BITS) for _ in range(n)]
-
     def acquire_batch(
         self, requests: Sequence[Sequence[Any]], now: float | None = None
     ) -> list[dict[str, Any]]:
         """Issue descriptors for ``(user, service[, credentials,
-        preferences])`` tuples, routed and dispatched per shard.
+        preferences])`` tuples, each on the shard its minted id hashes to.
 
         Returns one ``{"ok": ..., "descriptor"/"error": ...}`` per
         request, in order.
         """
         if now is None:
             now = self.clock()
-        ids = self._mint_ids(len(requests))
-        by_shard: dict[int, list[int]] = {}
-        for position, cookie_id in enumerate(ids):
-            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
-        results: list[dict[str, Any] | None] = [None] * len(requests)
-        for shard_index, positions in by_shard.items():
-            shard_requests = [
-                (requests[p][0], requests[p][1], ids[p], *requests[p][2:])
-                for p in positions
-            ]
+        results: list[dict[str, Any]] = []
+        for request in requests:
+            cookie_id = secrets.randbits(COOKIE_ID_BITS)
             try:
-                descriptors, errors = self._shards[shard_index].acquire_batch(
-                    shard_requests, now
+                descriptor = self._shards[self.shard_of(cookie_id)].acquire(
+                    request[0],
+                    request[1],
+                    now,
+                    cookie_id=cookie_id,
+                    credentials=request[2] if len(request) > 2 else None,
+                    preferences=request[3] if len(request) > 3 else None,
                 )
-                self.breaker.record_success()
-            except _ShardFailure as exc:
-                self.breaker.record_failure()
-                self.stats.worker_failures += 1
-                for p in positions:
-                    results[p] = {
-                        "ok": False,
-                        "error": f"shard {shard_index} unavailable: {exc}",
-                    }
-                continue
-            for p, descriptor, error in zip(positions, descriptors, errors):
-                if descriptor is None:
-                    self.stats.denied += 1
-                    results[p] = {"ok": False, "error": error}
-                else:
-                    self.stats.acquired += 1
-                    results[p] = {"ok": True, "descriptor": descriptor}
-        return results  # type: ignore[return-value]
+            except AcquisitionDenied as exc:
+                self.stats.denied += 1
+                results.append({"ok": False, "error": str(exc)})
+            else:
+                self.stats.acquired += 1
+                # A fresh encoding: the log's ``add`` record keeps its own.
+                results.append({"ok": True, "descriptor": descriptor.to_json()})
+        return results
 
     def acquire(
         self,
@@ -488,43 +209,46 @@ class ShardedControlPlane:
         """Revoke many descriptors, then broadcast to replicas at once."""
         if now is None:
             now = self.clock()
-        by_shard: dict[int, list[int]] = {}
-        for position, cookie_id in enumerate(cookie_ids):
-            by_shard.setdefault(self.shard_of(cookie_id), []).append(position)
-        revoked: list[bool] = [False] * len(cookie_ids)
-        touched: set[int] = set()
-        for shard_index, positions in by_shard.items():
-            handle = self._shards[shard_index]
-            try:
-                outcome = handle.revoke_batch(
-                    [cookie_ids[p] for p in positions], now
+        revoked: list[bool] = []
+        touched: dict[int, None] = {}
+        for cookie_id in cookie_ids:
+            shard_index = self.shard_of(cookie_id)
+            ok = self._shards[shard_index].revoke(cookie_id, now)
+            revoked.append(ok)
+            if ok:
+                touched[shard_index] = None
+        self.stats.revoked += sum(revoked)
+        if touched and self._replicas:
+            for shard_index in touched:
+                self._pending_revocations.append(
+                    [
+                        shard_index,
+                        self._shards[shard_index].log.next_offset - 1,
+                        now,
+                        set(self._replicas),
+                    ]
                 )
-                self.breaker.record_success()
-            except _ShardFailure:
-                self.breaker.record_failure()
-                self.stats.worker_failures += 1
-                continue
-            for p, ok in zip(positions, outcome):
-                revoked[p] = ok
-            if any(outcome):
-                touched.add(shard_index)
-                self.stats.revoked += sum(outcome)
-                if self._replicas:
-                    self._pending_revocations.append(
-                        [
-                            shard_index,
-                            handle.log.next_offset - 1,
-                            now,
-                            set(self._replicas),
-                        ]
-                    )
-        if touched and self.eager_broadcast and self._replicas:
-            self.sync_replicas(shards=touched)
+            if self.eager_broadcast:
+                self.sync_replicas(shards=set(touched))
         return revoked
 
     def revoke(self, cookie_id: int, by: str = "network") -> bool:
         del by
         return self.revoke_batch([cookie_id])[0]
+
+    def _renew(
+        self, user: str, cookie_id: int, credentials: dict[str, Any] | None
+    ) -> dict[str, Any]:
+        """The one renew path: the old descriptor's service is read from
+        its shard's store, and the answer is :meth:`acquire_batch`'s
+        result dict, so nothing is decoded on the way."""
+        old = self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
+        if old is None:
+            return {"ok": False, "error": f"descriptor {cookie_id:#x} unknown"}
+        result = self.acquire_batch([(user, str(old.service_data), credentials)])[0]
+        if result["ok"]:
+            self.stats.renewed += 1
+        return result
 
     def renew(
         self,
@@ -534,28 +258,22 @@ class ShardedControlPlane:
     ) -> CookieDescriptor:
         """Fresh descriptor for the old one's service; the old one stays
         valid until expiry (matching :class:`CookieServer.renew`)."""
-        old = self.lookup(cookie_id)
-        if old is None:
-            raise AcquisitionDenied(f"descriptor {cookie_id:#x} unknown")
-        descriptor = self.acquire(
-            user, str(old.service_data), credentials=credentials
-        )
-        self.stats.renewed += 1
-        return descriptor
+        result = self._renew(user, cookie_id, credentials)
+        if not result["ok"]:
+            raise AcquisitionDenied(result["error"])
+        return CookieDescriptor.from_json(result["descriptor"])
 
     def lookup(self, cookie_id: int) -> CookieDescriptor | None:
-        data = self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
-        return None if data is None else CookieDescriptor.from_json(data)
+        """An independent copy of the stored descriptor."""
+        descriptor = self._shards[self.shard_of(cookie_id)].lookup(cookie_id)
+        return None if descriptor is None else CookieDescriptor.from_json(
+            descriptor.to_json()
+        )
 
     def purge_expired(self, now: float | None = None) -> int:
         if now is None:
             now = self.clock()
-        purged = 0
-        for handle in self._shards:
-            try:
-                purged += handle.purge_expired(now)
-            except _ShardFailure:
-                self.stats.worker_failures += 1
+        purged = sum(len(shard.purge_expired(now)) for shard in self._shards)
         self.stats.removed += purged
         return purged
 
@@ -603,15 +321,15 @@ class ShardedControlPlane:
             if replica is None or replica.partitioned:
                 continue
             for shard_index in shard_indices:
-                handle = self._shards[shard_index]
+                shard = self._shards[shard_index]
                 applied = replica.applied_offset(shard_index)
-                if applied >= handle.log.next_offset:
+                if applied >= shard.log.next_offset:
                     continue
                 try:
                     try:
-                        records = handle.log.since(applied)
+                        records = shard.deltas_since(applied)
                     except LogTruncated:
-                        snapshot = handle.snapshot()
+                        snapshot = shard.snapshot()
                         replica.install_snapshot(
                             shard_index, snapshot, self.shard_count
                         )
@@ -650,17 +368,17 @@ class ShardedControlPlane:
         returning replica down the snapshot-then-replay path.
         """
         dropped = 0
-        for shard_index, handle in enumerate(self._shards):
+        for shard_index, shard in enumerate(self._shards):
             if aggressive:
-                horizon = handle.log.next_offset
+                horizon = shard.log.next_offset
             elif self._replicas:
                 horizon = min(
                     r.applied_offset(shard_index)
                     for r in self._replicas.values()
                 )
             else:
-                horizon = handle.log.next_offset
-            dropped += handle.log.compact_to(horizon)
+                horizon = shard.log.next_offset
+            dropped += shard.log.compact_to(horizon)
         return dropped
 
     # ------------------------------------------------------------------
@@ -696,47 +414,38 @@ class ShardedControlPlane:
                 revoked = self.revoke(int(request["cookie_id"]))
                 return {"ok": revoked, "error": None if revoked else "unknown id"}
             if op == "renew":
-                descriptor = self.renew(
-                    user=str(request.get("user", "anonymous")),
-                    cookie_id=int(request["cookie_id"]),
-                    credentials=request.get("credentials"),
+                return self._renew(
+                    str(request.get("user", "anonymous")),
+                    int(request["cookie_id"]),
+                    request.get("credentials"),
                 )
-                return {"ok": True, "descriptor": descriptor.to_json()}
-            if op == "snapshot":
+            if op in ("snapshot", "deltas_since"):
                 shard_index = int(request["shard"])
-                snapshot = self._shards[shard_index].snapshot()
-                return {"ok": True, "snapshot": snapshot.to_json()}
-            if op == "deltas_since":
-                shard_index = int(request["shard"])
-                offset = int(request["offset"])
+                if not 0 <= shard_index < self.shard_count:
+                    return {"ok": False, "error": "unknown shard"}
+                shard = self._shards[shard_index]
+                if op == "snapshot":
+                    return {"ok": True, "snapshot": shard.snapshot().to_json()}
                 try:
-                    records = self._shards[shard_index].log.since(offset)
+                    records = shard.deltas_since(int(request["offset"]))
                 except LogTruncated as exc:
                     return {"ok": False, "truncated": True, "error": str(exc)}
                 return {
                     "ok": True,
                     "records": [r.to_json() for r in records],
-                    "next_offset": self._shards[shard_index].log.next_offset,
+                    "next_offset": shard.log.next_offset,
                 }
             if op == "stats":
                 return {"ok": True, "stats": self.describe()}
             return {"ok": False, "error": f"unknown op {op!r}"}
-        except AcquisitionDenied as exc:
-            return {"ok": False, "error": str(exc)}
-        except IndexError:
-            return {"ok": False, "error": "unknown shard"}
-        except (KeyError, TypeError, ValueError) as exc:
+        except (IndexError, KeyError, TypeError, ValueError) as exc:
             return {"ok": False, "error": f"bad request: {exc}"}
 
     # ------------------------------------------------------------------
     # Introspection / telemetry
     # ------------------------------------------------------------------
     def shard_stats(self) -> list[dict[str, int]]:
-        return [handle.stats() for handle in self._shards]
-
-    @property
-    def worker_restarts(self) -> int:
-        return sum(self._pool.restarts) if self._pool is not None else 0
+        return [shard.stats() for shard in self._shards]
 
     def max_broadcast_lag(self) -> float:
         """Largest settled revocation-to-enforcement lag seen so far."""
@@ -747,18 +456,15 @@ class ShardedControlPlane:
 
     def describe(self) -> dict[str, Any]:
         return {
-            "mode": self.mode,
             "shards": self.shard_count,
             "staleness_bound": self.staleness_bound,
             "max_pending": self.max_pending,
             "inflight": self.inflight,
-            "breaker_state": self.breaker.state,
             "replicas": {
                 name: replica.stats()
                 for name, replica in self._replicas.items()
             },
             "pending_revocations": len(self._pending_revocations),
-            "worker_restarts": self.worker_restarts,
             "dispatcher": self.stats.as_dict(),
             "shard_stats": self.shard_stats(),
         }
@@ -777,9 +483,6 @@ class ShardedControlPlane:
                 f"{prefix}.removed": self.stats.removed,
                 f"{prefix}.renewed": self.stats.renewed,
                 f"{prefix}.shed_pending": self.stats.shed_pending,
-                f"{prefix}.shed_breaker": self.stats.shed_breaker,
-                f"{prefix}.worker_restarts": self.worker_restarts,
-                f"{prefix}.worker_failures": self.stats.worker_failures,
                 f"{prefix}.syncs": self.stats.syncs,
                 f"{prefix}.snapshot_catchups": self.stats.snapshot_catchups,
             }
@@ -790,16 +493,10 @@ class ShardedControlPlane:
                 f"{prefix}.pending_revocations": len(self._pending_revocations),
             }
             for stats in self.shard_stats():
-                shard_index = stats.get("shard", 0)
-                counters[f"{prefix}.shard{shard_index}.acquired"] = stats.get(
-                    "acquired", 0
-                )
-                gauges[f"{prefix}.shard{shard_index}.log_len"] = stats.get(
-                    "log_len", 0
-                )
-                gauges[f"{prefix}.shard{shard_index}.descriptors"] = stats.get(
-                    "descriptors", 0
-                )
+                shard = f"{prefix}.shard{stats['shard']}"
+                counters[f"{shard}.acquired"] = stats["acquired"]
+                gauges[f"{shard}.log_len"] = stats["log_len"]
+                gauges[f"{shard}.descriptors"] = stats["descriptors"]
             return TelemetrySnapshot(
                 counters=counters,
                 gauges=gauges,
@@ -814,8 +511,8 @@ class ShardedControlPlane:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        if self._pool is not None:
-            self._pool.close()
+        """Nothing to release; kept so callers can hold the plane as a
+        resource (``with ShardedControlPlane(...) as cp``)."""
 
     def __enter__(self) -> "ShardedControlPlane":
         return self

@@ -8,28 +8,23 @@ ids and routes; the shard authorizes, stores, and logs.
 
 Every successful mutation appends a :class:`~.deltalog.DeltaRecord`, so
 ``shard.snapshot()`` + ``shard.deltas_since(offset)`` is always a
-complete replication feed.
-
-:meth:`ControlPlaneShard.handle` is the shard's whole wire surface — the
-in-process service calls it directly, and :func:`shard_worker_main`
-serves the identical dict protocol over a :mod:`multiprocessing` pipe,
-one shard per worker process (PROTOCOL.md §14.4).
+complete replication feed.  The dispatcher calls a shard's methods
+directly; no shard op crosses a process or a wire.
 """
 
 from __future__ import annotations
 
 import secrets
-from typing import Any, Callable
+from typing import Any
 
-from ..attributes import CookieAttributes
 from ..descriptor import COOKIE_ID_BITS, CookieDescriptor
 from ..errors import AcquisitionDenied
 from ..policy import AccessPolicy, AcquisitionRequest, OpenAccessPolicy
 from ..server import ServiceOffering
 from ..store import DescriptorStore
-from .deltalog import DeltaLog, LogTruncated, StoreSnapshot
+from .deltalog import DeltaLog, StoreSnapshot
 
-__all__ = ["ControlPlaneShard", "shard_worker_main"]
+__all__ = ["ControlPlaneShard"]
 
 
 class ControlPlaneShard:
@@ -51,7 +46,6 @@ class ControlPlaneShard:
         self.denied = 0
         self.revoked = 0
         self.removed = 0
-        self.renew_lookups = 0
 
     # ------------------------------------------------------------------
     # Configuration
@@ -129,6 +123,9 @@ class ControlPlaneShard:
         self.removed += 1
         return True
 
+    def remove_batch(self, cookie_ids: list[int], now: float) -> list[bool]:
+        return [self.remove(cookie_id, now) for cookie_id in cookie_ids]
+
     def purge_expired(self, now: float) -> list[int]:
         """Drop expired descriptors, logging a ``remove`` for each so
         replicas converge; returns the dropped ids."""
@@ -154,9 +151,6 @@ class ControlPlaneShard:
         """Raises :class:`~.deltalog.LogTruncated` past the horizon."""
         return self.log.since(offset)
 
-    def compact_to(self, offset: int) -> int:
-        return self.log.compact_to(offset)
-
     def stats(self) -> dict[str, int]:
         return {
             "shard": self.index,
@@ -169,155 +163,3 @@ class ControlPlaneShard:
             "log_base": self.log.base_offset,
             "log_next": self.log.next_offset,
         }
-
-    # ------------------------------------------------------------------
-    # Wire surface (in-process dispatch and the worker pipe protocol)
-    # ------------------------------------------------------------------
-    def handle(self, request: dict[str, Any]) -> dict[str, Any]:
-        """Serve one §14.4 shard frame; never raises."""
-        op = request.get("op")
-        try:
-            if op == "acquire_batch":
-                now = float(request["now"])
-                descriptors: list[dict[str, Any] | None] = []
-                errors: list[str | None] = []
-                for entry in request["requests"]:
-                    user, service, cookie_id = entry[0], entry[1], entry[2]
-                    try:
-                        descriptor = self.acquire(
-                            str(user),
-                            str(service),
-                            now,
-                            cookie_id=int(cookie_id),
-                            credentials=entry[3] if len(entry) > 3 else None,
-                            preferences=entry[4] if len(entry) > 4 else None,
-                        )
-                    except AcquisitionDenied as exc:
-                        descriptors.append(None)
-                        errors.append(str(exc))
-                    else:
-                        descriptors.append(descriptor.to_json())
-                        errors.append(None)
-                return {
-                    "ok": True,
-                    "descriptors": descriptors,
-                    "errors": errors,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "revoke_batch":
-                now = float(request["now"])
-                revoked = [
-                    self.revoke(int(cid), now) for cid in request["cookie_ids"]
-                ]
-                return {
-                    "ok": True,
-                    "revoked": revoked,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "remove_batch":
-                now = float(request["now"])
-                removed = [
-                    self.remove(int(cid), now) for cid in request["cookie_ids"]
-                ]
-                return {
-                    "ok": True,
-                    "removed": removed,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "purge_expired":
-                removed_ids = self.purge_expired(float(request["now"]))
-                return {
-                    "ok": True,
-                    "removed_ids": removed_ids,
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "lookup":
-                descriptor = self.lookup(int(request["cookie_id"]))
-                return {
-                    "ok": True,
-                    "descriptor": None if descriptor is None else descriptor.to_json(),
-                }
-            if op == "snapshot":
-                return {"ok": True, "snapshot": self.snapshot().to_json()}
-            if op == "deltas_since":
-                try:
-                    records = self.deltas_since(int(request["offset"]))
-                except LogTruncated as exc:
-                    return {"ok": False, "truncated": True, "error": str(exc)}
-                return {
-                    "ok": True,
-                    "records": [r.to_json() for r in records],
-                    "next_offset": self.log.next_offset,
-                }
-            if op == "compact_to":
-                return {"ok": True, "dropped": self.compact_to(int(request["offset"]))}
-            if op == "offer":
-                self.offer(_offering_from_json(request["offering"]))
-                return {"ok": True}
-            if op == "withdraw":
-                self.withdraw_offering(str(request["name"]))
-                return {"ok": True}
-            if op == "stats":
-                return {"ok": True, "stats": self.stats()}
-            if op == "install":
-                # Parent-only re-seed after a respawn (§14.4).
-                snapshot = StoreSnapshot.from_json(request["snapshot"])
-                snapshot.install(self.store)
-                self.log = DeltaLog(base_offset=snapshot.offset)
-                return {"ok": True, "installed": len(snapshot.descriptors)}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except (KeyError, TypeError, ValueError) as exc:
-            return {"ok": False, "error": f"bad request: {exc}"}
-
-
-def _offering_from_json(data: dict[str, Any]) -> ServiceOffering:
-    """Rebuild an offering in a worker process.
-
-    Only the JSON-shaped fields travel; an ``attribute_factory`` closure
-    cannot cross a process boundary, so process mode supports the
-    lifetime-based default (the service refuses to ship anything else).
-    """
-    return ServiceOffering(
-        name=str(data["name"]),
-        description=str(data.get("description", "")),
-        lifetime=data.get("lifetime"),
-        service_data=data.get("service_data"),
-        extra=dict(data.get("extra", {})),
-    )
-
-
-def offering_to_json(offering: ServiceOffering) -> dict[str, Any]:
-    return {
-        "name": offering.name,
-        "description": offering.description,
-        "lifetime": offering.lifetime,
-        "service_data": offering.service_data,
-        "extra": offering.extra,
-    }
-
-
-def shard_worker_main(conn: Any, index: int, policy: AccessPolicy | None) -> None:
-    """Worker entry point: serve one shard's §14.4 frames over a pipe.
-
-    The parent retains the authoritative delta log + mirror, so a killed
-    worker is re-seeded with an ``install`` frame on respawn.
-    """
-    shard = ControlPlaneShard(index, policy=policy)
-    while True:
-        try:
-            request = conn.recv()
-        except (EOFError, OSError):
-            break
-        op = request.get("op")
-        if op == "quit":
-            try:
-                conn.send({"ok": True})
-            except (BrokenPipeError, OSError):
-                pass
-            break
-        response = shard.handle(request)
-        try:
-            conn.send(response)
-        except (BrokenPipeError, OSError):
-            break
-    conn.close()

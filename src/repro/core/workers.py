@@ -1,8 +1,7 @@
 """One supervisor for every worker-process pool (PROTOCOL.md §10.1).
 
-The verifier pool (:mod:`.parallel`), the control plane's process
-shards (:mod:`.cp.service`) and the sweep pool (:mod:`.sweep`) run
-their workers through :class:`Supervisor`: start method, spawn with
+The verifier pool (:mod:`.parallel`) and the sweep pool (:mod:`.sweep`)
+run their workers through :class:`Supervisor`: start method, spawn with
 release on a failed start, death detection, bounded reaping and counted
 restarts with backoff.  :func:`pooled_or_in_process` is the one degrade
 rule.  Clients keep their wire protocol, their worker entry point and

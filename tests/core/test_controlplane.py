@@ -4,8 +4,7 @@ Covers the PR-8 tentpole end to end at unit scale: rendezvous routing
 parity with the data plane, the CookieServer-compatible JSON API plus
 the §14 extensions, revocation broadcast under the staleness bound,
 partition recovery by snapshot-then-replay, load shedding through the
-admission gate, process-mode parity with a worker kill drill, and the
-telemetry collector.
+admission gate, and the telemetry collector.
 """
 
 import asyncio
@@ -14,6 +13,7 @@ import pytest
 
 from repro.core import (
     AcquisitionDenied,
+    CookieDescriptor,
     ServiceOffering,
 )
 from repro.core.cp import (
@@ -128,6 +128,76 @@ class TestRoutingAndLifecycle:
             )["ok"]
 
 
+class TestConstruction:
+    def test_only_in_process_mode_builds(self):
+        with ShardedControlPlane(shards=2, mode="in-process") as controlplane:
+            assert controlplane.shard_count == 2
+        for mode in ("process", "auto"):
+            with pytest.raises(ValueError):
+                ShardedControlPlane(shards=2, mode=mode)
+
+
+class TestShardIndexBounds:
+    @pytest.mark.parametrize("shard", [-1, 2])
+    @pytest.mark.parametrize("op", ["snapshot", "deltas_since"])
+    def test_index_outside_range_is_unknown(self, op, shard):
+        with _controlplane(shards=2) as controlplane:
+            controlplane.acquire("alice", "Boost")
+            response = controlplane.handle_request(
+                {"op": op, "shard": shard, "offset": 0}
+            )
+            assert response == {"ok": False, "error": "unknown shard"}
+
+
+class TestRenewPath:
+    def test_json_renew_decodes_nothing_and_encodes_twice(self, monkeypatch):
+        """One encoding for the log's ``add`` record, one for the answer."""
+        with _controlplane(shards=2) as controlplane:
+            old = controlplane.acquire("alice", "Boost")
+            calls = {"to_json": 0}
+            to_json = CookieDescriptor.to_json
+
+            def counting_to_json(self):
+                calls["to_json"] += 1
+                return to_json(self)
+
+            def no_from_json(data):
+                raise AssertionError("renew decoded a descriptor")
+
+            monkeypatch.setattr(CookieDescriptor, "to_json", counting_to_json)
+            monkeypatch.setattr(CookieDescriptor, "from_json", no_from_json)
+            renewed = controlplane.handle_request(
+                {"op": "renew", "user": "alice", "cookie_id": old.cookie_id}
+            )
+            assert renewed["ok"]
+            assert renewed["descriptor"]["service_data"] == "Boost"
+            assert calls["to_json"] == 2
+            assert controlplane.stats.renewed == 1
+
+    def test_renew_answer_is_not_the_logged_record(self):
+        with _controlplane(shards=1) as controlplane:
+            old = controlplane.acquire("alice", "Boost")
+            renewed = controlplane.handle_request(
+                {"op": "renew", "user": "alice", "cookie_id": old.cookie_id}
+            )
+            renewed["descriptor"]["revoked"] = True
+            logged = controlplane.handle_request(
+                {"op": "deltas_since", "shard": 0, "offset": 0}
+            )["records"][-1]
+            assert logged["cookie_id"] == renewed["descriptor"]["cookie_id"]
+            assert logged["descriptor"]["revoked"] is False
+
+    def test_renew_of_unknown_id_is_an_error_answer(self):
+        with _controlplane(shards=2) as controlplane:
+            with pytest.raises(AcquisitionDenied):
+                controlplane.renew("alice", 12345)
+            answer = controlplane.handle_request(
+                {"op": "renew", "user": "alice", "cookie_id": 12345}
+            )
+            assert answer == {"ok": False, "error": "descriptor 0x3039 unknown"}
+            assert controlplane.stats.renewed == 0
+
+
 class TestReplication:
     def test_eager_revocation_broadcast_within_bound(self):
         clock = ManualClock()
@@ -227,65 +297,6 @@ class TestLoadShedding:
             controlplane.release()
             assert controlplane.admit() is None
 
-    def test_open_breaker_sheds(self):
-        with _controlplane(shards=1) as controlplane:
-            for _ in range(5):
-                controlplane.breaker.record_failure()
-            shed = controlplane.admit()
-            assert shed is not None and shed["shed"]
-            assert "circuit breaker" in shed["error"]
-            assert controlplane.stats.shed_breaker == 1
-
-
-class TestProcessMode:
-    def test_worker_kill_drill_recovers_state(self):
-        """Kill a worker mid-stream: the parent respawns it, re-seeds it
-        from the mirror, and serving continues with nothing lost."""
-        import time
-
-        controlplane = ShardedControlPlane(
-            clock=time.monotonic, shards=2, mode="process"
-        )
-        try:
-            controlplane.offer(ServiceOffering(name="Boost"))
-            before = [
-                controlplane.acquire(f"user{i}", "Boost") for i in range(20)
-            ]
-            controlplane._shards[0].kill()
-            after = [
-                controlplane.acquire(f"late{i}", "Boost") for i in range(10)
-            ]
-            for descriptor in before + after:
-                found = controlplane.lookup(descriptor.cookie_id)
-                assert found is not None
-                assert found.cookie_id == descriptor.cookie_id
-            assert controlplane.worker_restarts >= 1
-            assert controlplane.revoke(before[0].cookie_id)
-            assert controlplane.lookup(before[0].cookie_id).revoked
-        finally:
-            controlplane.close()
-
-    def test_process_mode_snapshot_matches_mirror(self):
-        import time
-
-        controlplane = ShardedControlPlane(
-            clock=time.monotonic, shards=2, mode="process"
-        )
-        try:
-            controlplane.offer(ServiceOffering(name="Boost"))
-            issued = {
-                controlplane.acquire(f"user{i}", "Boost").cookie_id
-                for i in range(12)
-            }
-            mirrored = {
-                int(d["cookie_id"])
-                for handle in controlplane._shards
-                for d in handle.snapshot().descriptors
-            }
-            assert mirrored == issued
-        finally:
-            controlplane.close()
-
 
 class TestAsyncServer:
     def test_serves_and_sheds_over_tcp(self):
@@ -298,8 +309,7 @@ class TestAsyncServer:
                 granted = await client.request(
                     {"op": "acquire", "user": "alice", "service": "Boost"}
                 )
-                for _ in range(5):
-                    controlplane.breaker.record_failure()
+                controlplane.max_pending = 0
                 shed = await client.request(
                     {"op": "acquire", "user": "bob", "service": "Boost"}
                 )

@@ -22,12 +22,10 @@ from multiprocessing.process import BaseProcess
 import pytest
 
 from repro.core import workers
-from repro.core.cp import ShardedControlPlane
 from repro.core.descriptor import CookieDescriptor
 from repro.core.generator import CookieGenerator
 from repro.core.parallel import ProcessShardExecutor
 from repro.core.resilience import RetryPolicy
-from repro.core.server import ServiceOffering
 from repro.core.store import DescriptorStore
 from repro.core.sweep import SweepCell, SweepExecutor, run_sweep
 from repro.core.workers import Supervisor, pooled_or_in_process
@@ -254,13 +252,6 @@ def _verifier():
     return pool, pool.transport == "in-process"
 
 
-def _control_plane():
-    controlplane = ShardedControlPlane(shards=2, mode="auto")
-    controlplane.offer(ServiceOffering(name="Boost"))
-    assert controlplane.acquire("user", "Boost") is not None
-    return controlplane, controlplane.mode == "in-process"
-
-
 def _sweep():
     executor = SweepExecutor.auto(square_cell, workers=2)
     assert executor.run([SweepCell(labels=(3,), params={"x": 3})]) == [9]
@@ -277,8 +268,8 @@ def _run_sweep():
 
 @pytest.mark.parametrize(
     "build",
-    [_verifier, _control_plane, _sweep, _run_sweep],
-    ids=["verifier-pool", "control-plane", "sweep-executor", "run-sweep"],
+    [_verifier, _sweep, _run_sweep],
+    ids=["verifier-pool", "sweep-executor", "run-sweep"],
 )
 def test_auto_serves_in_process_when_workers_cannot_start(monkeypatch, build):
     """One degrade rule: every ``auto`` mode serves in-process when a
@@ -294,18 +285,11 @@ def test_auto_serves_in_process_when_workers_cannot_start(monkeypatch, build):
 def test_unstartable_replacement_is_served_in_process(monkeypatch):
     """A worker that dies when no replacement can start leaves its slot
     to the client's in-process path: the verifier pool's fallback
-    matcher and the control plane's degraded shard keep answering."""
+    matcher keeps answering."""
     store, generator = _store()
     with ProcessShardExecutor(store, workers=1) as pool:
-        with ShardedControlPlane(shards=1, mode="process") as controlplane:
-            controlplane.offer(ServiceOffering(name="Boost"))
-            held = controlplane.acquire("user", "Boost")
-            os.kill(pool.worker_pids()[0], signal.SIGKILL)
-            controlplane._shards[0].kill()
-            monkeypatch.setattr(BaseProcess, "start", _refuse_start)
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        monkeypatch.setattr(BaseProcess, "start", _refuse_start)
 
-            assert pool.match(generator.generate(), 100.0) is not None
-            assert pool.fallback_shards == [0]
-            assert controlplane.acquire("late", "Boost") is not None
-            assert controlplane.revoke(held.cookie_id)
-            assert controlplane.shard_stats()[0]["degraded"] is True
+        assert pool.match(generator.generate(), 100.0) is not None
+        assert pool.fallback_shards == [0]
